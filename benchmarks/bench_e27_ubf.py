@@ -23,7 +23,7 @@ no-listener dst ports and unidentifiable src ports mixed in):
 Differential guarantee asserted on every run: bit-identical verdicts
 columnar ⇄ batch over the full stream and batch ⇄ naive over the naive
 prefix.  Sub-sections: memory per million cached verdicts (flat arrays vs
-the dict-shard cache), a full-sampling fail-fast oracle pass over the
+the per-object paths' dict cache), a full-sampling fail-fast oracle pass over the
 columnar path, and a strict-zone-tier run proving the posture knobs are
 verdict-invariant.
 
@@ -263,15 +263,14 @@ def run_point(n_decisions: int, pool) -> dict:
 
 # -- memory per million cached verdicts --------------------------------------
 
-def _dict_cache_bytes(sharded) -> int:
-    """Measured resident bytes of the dict-shard cache: shard dicts plus
+def _dict_cache_bytes(cache) -> int:
+    """Measured resident bytes of the daemon's dict cache: the dict plus
     the per-entry key/value tuples and their non-shared ints (Verdict
     members are shared singletons and not charged)."""
-    total = sum(sys.getsizeof(s) for s in sharded._shards)
-    for shard in sharded._shards:
-        for key, val in shard.items():
-            total += sys.getsizeof(key) + sum(sys.getsizeof(c) for c in key)
-            total += sys.getsizeof(val) + sys.getsizeof(val[1])
+    total = sys.getsizeof(cache)
+    for key, val in cache.items():
+        total += sys.getsizeof(key) + sum(sys.getsizeof(c) for c in key)
+        total += sys.getsizeof(val) + sys.getsizeof(val[1])
     return total
 
 
@@ -284,15 +283,18 @@ MEM_ENTRIES = 1 << 18
 def memory_section() -> dict:
     """Fill both cache implementations with the same distinct triples and
     compare resident bytes per million cached verdicts."""
-    from repro.net import ColumnarVerdictCache, ShardedVerdictCache
+    from repro.net import ColumnarVerdictCache
     flat = ColumnarVerdictCache(MEM_ENTRIES)
-    dictish = ShardedVerdictCache(shards=8)
+    _, daemon, _ = build_rig()
+    daemon.cache_capacity = None
     for i in range(MEM_ENTRIES):
         key = (10_000 + i, 1000 + i % 512, 1000 + i % 512)
         flat.insert(key[0], key[1], key[2], V_ACCEPT, now=i)
-        dictish.put(key, Verdict.ACCEPT, now=i)
+        daemon._tick = i
+        daemon._cache_put(key, Verdict.ACCEPT)
     assert len(flat) == MEM_ENTRIES and flat.evictions == 0
     flat_pm = int(flat.nbytes / len(flat) * 1e6)
+    dictish = daemon._cache
     dict_pm = int(_dict_cache_bytes(dictish) / len(dictish) * 1e6)
     return {
         "cached_entries": MEM_ENTRIES,
@@ -376,7 +378,7 @@ def _report(results: dict) -> None:
         ["cache", "bytes/1M entries", "entries measured"],
         [["columnar (flat arrays)", mem["columnar_bytes_per_million"],
           mem["cached_entries"]],
-         ["sharded dict", mem["dict_bytes_per_million"],
+         ["dict (decide/decide_batch)", mem["dict_bytes_per_million"],
           mem["cached_entries"]],
          ["ratio", f"{mem['ratio']}x", "-"]])
     orc, st = results["oracle"], results["strict_tier"]

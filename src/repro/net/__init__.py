@@ -32,7 +32,6 @@ from repro.net.stack import (
 from repro.net.ubf import (
     COST_US,
     DecisionReason,
-    ShardedVerdictCache,
     UBFDaemon,
     UBFDecisionLog,
     firewall_cost_us,
@@ -59,7 +58,7 @@ __all__ = [
     "MemoryRegion", "QueuePair", "RDMAFabric",
     "BoundSocket", "Connection", "ConnectionEnd", "Datagram", "Fabric",
     "HostStack", "SocketAPI",
-    "COST_US", "DecisionReason", "ShardedVerdictCache", "UBFDaemon",
+    "COST_US", "DecisionReason", "UBFDaemon",
     "UBFDecisionLog", "firewall_cost_us",
     "ColumnarVerdictCache", "FlowBatch", "in_sorted", "to_verdicts",
     "POSTURES", "UBFPosture", "ZoneTier", "apply_tier", "apply_zone_tiers",

@@ -295,6 +295,13 @@ class Firewall:
         self._nfqueue_batch = None
         return handler
 
+    def _first_match(self, pkt: Packet) -> Rule | None:
+        """The first INPUT-chain rule matching *pkt*, or None."""
+        for rule in self.rules:
+            if rule.matches(pkt):
+                return rule
+        return None
+
     def evaluate(self, pkt: Packet) -> Verdict:
         """Run a packet through conntrack then the INPUT chain.
 
@@ -309,24 +316,20 @@ class Firewall:
             self.metrics.counter("conntrack_fastpath_packets").inc()
             return Verdict.ACCEPT
         self.metrics.counter("rule_walks").inc()
-        for rule in self.rules:
-            if not rule.matches(pkt):
-                continue
-            if rule.verdict is Verdict.NFQUEUE:
-                self.metrics.counter("nfqueue_decisions").inc()
-                if self._nfqueue is None:
-                    # queue with no daemon: kernel drops (fail closed)
-                    return Verdict.DROP
-                verdict = self._nfqueue(pkt)
-                if verdict is Verdict.ACCEPT:
-                    self.conntrack.commit(pkt.flow)
-                return verdict
-            if rule.verdict is Verdict.ACCEPT:
-                self.conntrack.commit(pkt.flow)
-            return rule.verdict
-        if self.default_policy is Verdict.ACCEPT:
+        rule = self._first_match(pkt)
+        if rule is None:
+            verdict = self.default_policy
+        elif rule.verdict is Verdict.NFQUEUE:
+            self.metrics.counter("nfqueue_decisions").inc()
+            if self._nfqueue is None:
+                # queue with no daemon: kernel drops (fail closed)
+                return Verdict.DROP
+            verdict = self._nfqueue(pkt)
+        else:
+            verdict = rule.verdict
+        if verdict is Verdict.ACCEPT:
             self.conntrack.commit(pkt.flow)
-        return self.default_policy
+        return verdict
 
     def evaluate_batch(self, pkts: list[Packet]) -> list[Verdict]:
         """Run a burst through conntrack/rules with one daemon callback.
@@ -339,47 +342,54 @@ class Firewall:
         together: a queued packet does not see conntrack entries created by
         later verdicts in the same burst, which mirrors
         :meth:`UBFDaemon.decide_batch`'s coalescing semantics.
+
+        The ``conntrack_fastpath_packets``/``rule_walks``/
+        ``nfqueue_decisions`` counters are incremented once per burst, with
+        the same totals :meth:`evaluate` reaches packet by packet.
         """
         out: list[Verdict | None] = [None] * len(pkts)
         queued: list[int] = []
+        lookup, commit = self.conntrack.lookup, self.conntrack.commit
+        first_match = self._first_match
+        fastpath = 0
         for i, pkt in enumerate(pkts):
-            entry = self.conntrack.lookup(pkt.flow)
+            flow = pkt.flow
+            entry = lookup(flow)
             if entry is not None:
                 entry.packets += 1
                 entry.bytes += pkt.payload_len
-                self.metrics.counter("conntrack_fastpath_packets").inc()
+                fastpath += 1
                 out[i] = Verdict.ACCEPT
                 continue
-            self.metrics.counter("rule_walks").inc()
-            for rule in self.rules:
-                if not rule.matches(pkt):
-                    continue
-                if rule.verdict is Verdict.NFQUEUE:
-                    self.metrics.counter("nfqueue_decisions").inc()
-                    if self._nfqueue is None and self._nfqueue_batch is None:
-                        out[i] = Verdict.DROP  # no daemon: fail closed
-                    else:
-                        queued.append(i)
-                elif rule.verdict is Verdict.ACCEPT:
-                    self.conntrack.commit(pkt.flow)
-                    out[i] = Verdict.ACCEPT
-                else:
-                    out[i] = rule.verdict
-                break
+            rule = first_match(pkt)
+            if rule is None:
+                verdict = self.default_policy
+            elif rule.verdict is Verdict.NFQUEUE:
+                queued.append(i)
+                continue
             else:
-                if self.default_policy is Verdict.ACCEPT:
-                    self.conntrack.commit(pkt.flow)
-                out[i] = self.default_policy
-        if queued:
-            burst = [pkts[i] for i in queued]
-            if self._nfqueue_batch is not None:
-                verdicts = self._nfqueue_batch(burst)
-            else:
-                verdicts = [self._nfqueue(p) for p in burst]
-            for i, verdict in zip(queued, verdicts):
-                if verdict is Verdict.ACCEPT:
-                    self.conntrack.commit(pkts[i].flow)
-                out[i] = verdict
+                verdict = rule.verdict
+            if verdict is Verdict.ACCEPT:
+                commit(flow)
+            out[i] = verdict
+        if fastpath:
+            self.metrics.counter("conntrack_fastpath_packets").inc(fastpath)
+        if len(pkts) > fastpath:
+            self.metrics.counter("rule_walks").inc(len(pkts) - fastpath)
+        if not queued:
+            return out
+        self.metrics.counter("nfqueue_decisions").inc(len(queued))
+        burst = [pkts[i] for i in queued]
+        if self._nfqueue_batch is not None:
+            verdicts = self._nfqueue_batch(burst)
+        elif self._nfqueue is not None:
+            verdicts = [self._nfqueue(p) for p in burst]
+        else:
+            verdicts = [Verdict.DROP] * len(burst)  # no daemon: fail closed
+        for i, verdict in zip(queued, verdicts):
+            if verdict is Verdict.ACCEPT:
+                commit(pkts[i].flow)
+            out[i] = verdict
         return out
 
 

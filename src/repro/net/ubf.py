@@ -26,11 +26,12 @@ listener egid changes are handled by keying on the egid *value*, so an
 ``sg`` to a new group produces a different key and a fresh (authoritative)
 decision.  Packets arriving without a uid stamp always take the full path.
 
-The cache is **bounded**: ``cache_capacity`` (None = unbounded) LRU-evicts
-across every variant — the naive dict, the sharded cache, and the columnar
-cache — with evictions counted under
-``ubf_cache_evictions_total{reason=lru|ttl}``.  At millions of distinct
-principal triples an unbounded decision cache is an OOM, not a cache.
+There are two decision caches: one bounded LRU dict shared by both
+per-object paths (``decide`` and ``decide_batch``), and the columnar
+cache.  ``cache_capacity`` (None = unbounded) LRU-evicts both, with
+evictions counted under ``ubf_cache_evictions_total{reason=lru|ttl}``.
+At millions of distinct principal triples an unbounded decision cache is
+an OOM, not a cache.
 ``cache_ttl`` (logical decision ticks; the strict-zone posture sets it)
 additionally expires entries at read time, bounding how long a revoked
 group membership can keep serving a stale cached ACCEPT.
@@ -56,16 +57,27 @@ Scale-out hot path (E24): ``decide_batch`` takes a burst of queued packets
 and **coalesces** ident queries — packets from the same remote (host, proto,
 src-port), i.e. the same initiating process, park as waiters on a single
 upstream exchange and all receive verdicts derived from its one reply
-(savings counted under ``ident_coalesced``).  The decision cache is
-**sharded** by an arithmetic hash of the (initiator uid, listener uid,
-listener egid) key — stable across ``PYTHONHASHSEED`` — so one giant dict
-never becomes the bottleneck, and the group rule consults a precomputed
-per-egid **allow-set** derived from the account database (invalidated via
-``UserDB.generation``), falling back to the ident reply's group snapshot
-before ever dropping.  ``naive=True`` preserves the original sequential
-per-packet path as the differential-testing reference; both paths produce
-identical verdicts (property-tested fault-free — under faults, coalescing
-legitimately consumes fewer identd attempts than per-packet retry loops).
+(savings counted under ``ident_coalesced``).  Work that does not depend on
+the packet is done once per burst: one generation check, one local
+listener lookup per distinct (proto, dst-port), and one increment per
+closed reason of ``ubf_verdicts_total``, ``ubf_denials``,
+``ubf_cache_hits`` and ``ubf_full_decisions``.  The group rule consults a
+precomputed per-egid **allow-set** derived from the account database
+(invalidated via ``UserDB.generation``), falling back to the ident reply's
+group snapshot before ever dropping.  ``naive=True`` preserves the
+original sequential per-packet path as the differential-testing
+reference; both paths produce identical verdicts (property-tested
+fault-free — under faults, coalescing legitimately consumes fewer identd
+attempts than per-packet retry loops).
+
+What a burst records: every row still ticks the decision clock once,
+passes the oracle's I2 checks at the same call sites (and so with the
+same sampling) as ``decide``, and, for a clean ACCEPT with a known
+initiator, writes the same ``ubf_verdict`` audit record.  Bursts append
+nothing to :attr:`UBFDaemon.log` — that per-decision record is kept by
+``decide`` only, since at flood rates it was the burst path's main cost
+in time and memory.  The ``ubf.decide_batch`` span and its
+``ubf.ident_group`` children carry the burst's trace.
 
 Columnar hot path (E27): ``decide_columns`` takes a
 :class:`~repro.net.ubf_columnar.FlowBatch` — preallocated parallel int
@@ -77,9 +89,9 @@ consulted for rows that still need an ident exchange (same coalescing as
 ``decide_batch``).  The per-object paths remain the differential
 references: the oracle's I2 shadow check re-derives every full decision,
 and E27 asserts bit-identical verdicts across naive / batch / columnar.
-The columnar path skips per-row ``UBFDecisionLog``/audit records — it is
-the throughput plane; ``decide``/``decide_batch`` remain the audit-grade
-paths and verdict counters stay exact on all three.
+Unlike ``decide_batch``, the columnar path skips the per-row audit
+records — it is the throughput plane.  Verdict counters stay exact on all
+three paths.
 """
 
 from __future__ import annotations
@@ -135,89 +147,24 @@ class DecisionReason(enum.Enum):
     IDENT_MISMATCH = "ident-mismatch"
 
 
-class ShardedVerdictCache:
-    """Decision cache split into shards by an arithmetic key hash.
+#: one decision: (verdict, initiator uid or None, reason text, reason code)
+Decision = tuple[Verdict, int | None, str, DecisionReason]
 
-    The shard function mixes the three small ints of the cache key with
-    fixed primes instead of relying on ``hash()``, so shard assignment (and
-    therefore iteration order, sizes, and any perf characteristics) is
-    identical under every ``PYTHONHASHSEED`` — CI runs two seeds to enforce
-    exactly this kind of determinism.
-
-    Bounded: ``capacity`` (None = unbounded) is split evenly across shards
-    and each shard LRU-evicts independently (its dict doubles as the LRU
-    list via move-to-end).  ``ttl`` (logical ticks, None = never) expires
-    entries at read time.  Both eviction kinds are counted under
-    ``ubf_cache_evictions_total{reason=}`` when *metrics* is attached.
-    """
-
-    def __init__(self, shards: int = 8, capacity: int | None = None,
-                 metrics=None, ttl: int | None = None):
-        if shards < 1:
-            raise ValueError("need at least one shard")
-        self.n = shards
-        self.capacity = capacity
-        self.metrics = metrics
-        self.ttl = ttl
-        self.evictions = 0
-        self._shards: list[
-            OrderedDict[tuple[int, int, int], tuple[Verdict, int]]] = [
-            OrderedDict() for _ in range(shards)
-        ]
-
-    def _shard(self, key: tuple[int, int, int]) -> OrderedDict:
-        a, b, c = key
-        return self._shards[(a * 1_000_003 + b * 8_191 + c) % self.n]
-
-    def _count_eviction(self, reason: str) -> None:
-        self.evictions += 1
-        if self.metrics is not None:
-            self.metrics.counter("ubf_cache_evictions_total",
-                                 reason=reason).inc()
-
-    def get(self, key: tuple[int, int, int], now: int = 0) -> Verdict | None:
-        shard = self._shard(key)
-        entry = shard.get(key)
-        if entry is None:
-            return None
-        verdict, stamp = entry
-        if self.ttl is not None and now - stamp > self.ttl:
-            del shard[key]
-            self._count_eviction("ttl")
-            return None
-        shard.move_to_end(key)  # LRU touch
-        return verdict
-
-    def put(self, key: tuple[int, int, int], verdict: Verdict,
-            now: int = 0) -> None:
-        shard = self._shard(key)
-        if self.capacity is not None and key not in shard:
-            bound = max(1, self.capacity // self.n)
-            while len(shard) >= bound:
-                shard.popitem(last=False)
-                self._count_eviction("lru")
-        shard[key] = (verdict, now)
-        shard.move_to_end(key)
-
-    def pop(self, key: tuple[int, int, int]) -> Verdict | None:
-        """Remove and return *key*'s verdict (None if absent)."""
-        entry = self._shard(key).pop(key, None)
-        return None if entry is None else entry[0]
-
-    def clear(self) -> None:
-        for shard in self._shards:
-            shard.clear()
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._shards)
-
-    def shard_sizes(self) -> list[int]:
-        return [len(s) for s in self._shards]
+#: reason codes of a full (post-ident, rule-evaluated) decision
+_FULL_DECISIONS = frozenset((
+    DecisionReason.ROOT_INITIATOR, DecisionReason.SAME_USER,
+    DecisionReason.GROUP_MEMBER, DecisionReason.CROSS_USER))
+_NO_LISTENER: Decision = (Verdict.ACCEPT, None,
+                          "no listener (refusal handled by stack)",
+                          DecisionReason.NO_LISTENER)
+_ROOT_SERVICE: Decision = (Verdict.ACCEPT, None, "root-owned service",
+                           DecisionReason.ROOT_SERVICE)
 
 
 @dataclass
 class UBFDecisionLog:
-    """One decision, for audit trails and tests."""
+    """One per-packet ``decide`` decision, for tests and the monitoring
+    wrapper (bursts through ``decide_batch`` are not logged)."""
 
     flow: str
     initiator_uid: int | None
@@ -251,23 +198,25 @@ class UBFDaemon:
     #: verdicts are recorded with causal attribution (denies reach the
     #: trail through the security-event stream).  None = zero cost.
     audit: object | None = field(default=None, repr=False)
-    #: original sequential/unsharded reference path for differential testing.
+    #: original sequential per-packet reference path for differential
+    #: testing.
     naive: bool = False
-    cache_shards: int = 8
-    #: decision-cache entry bound shared by all cache variants; None =
+    #: decision-cache entry bound shared by both caches; None =
     #: unbounded (the columnar cache falls back to its own default bound)
     cache_capacity: int | None = 65_536
     #: max cached-verdict age in decision ticks; None = no expiry.  Set by
-    #: the strict zone posture (repro.net.zones), uniform across variants
-    #: so differential verdict identity holds.
+    #: the strict zone posture (repro.net.zones), uniform across both
+    #: caches so differential verdict identity holds.
     cache_ttl: int | None = None
     #: data-sensitivity posture label applied by repro.net.zones
     tier: str = "standard"
+    #: per-packet ``decide`` records; bursts do not append here
     log: list[UBFDecisionLog] = field(default_factory=list)
     alive: bool = True
+    #: the per-object paths' verdict cache: key -> (verdict, tick stored),
+    #: in LRU order (see _cache_get/_cache_put)
     _cache: OrderedDict[tuple[int, int, int], tuple[Verdict, int]] = field(
         default_factory=OrderedDict)
-    _sharded: ShardedVerdictCache | None = field(default=None, repr=False)
     #: columnar decision cache, created lazily on the first decide_columns
     #: call (a 4096-node sim must not pay ~2 MB of arrays per idle daemon)
     _columnar: ColumnarVerdictCache | None = field(default=None, repr=False)
@@ -288,22 +237,15 @@ class UBFDaemon:
     _cache_gen: int = field(default=-1, repr=False)
     _crashed_handler: object | None = field(default=None, repr=False)
 
-    def __post_init__(self) -> None:
-        if self._sharded is None:
-            self._sharded = ShardedVerdictCache(
-                self.cache_shards, capacity=self.cache_capacity,
-                metrics=self.fabric.metrics, ttl=self.cache_ttl)
-
     def install(self) -> "UBFDaemon":
         self.stack.firewall.bind_nfqueue(self.decide)
         self.stack.firewall.bind_nfqueue_batch(self.decide_batch)
         return self
 
     def apply_cache_posture(self) -> None:
-        """Propagate ``cache_capacity``/``cache_ttl`` to the live cache
-        objects; called by zone-tier application after mutating the knobs."""
-        self._sharded.capacity = self.cache_capacity
-        self._sharded.ttl = self.cache_ttl
+        """Propagate ``cache_ttl`` to the columnar cache (the dict cache
+        reads ``cache_capacity``/``cache_ttl`` live); called by zone-tier
+        application after mutating the knobs."""
         if self._columnar is not None:
             self._columnar.ttl = self.cache_ttl
 
@@ -352,14 +294,12 @@ class UBFDaemon:
         correct only if the generation moved.  After a control-plane
         recovery the replayed database lands numerically *equal* to the
         pre-crash generation, so an un-resynced daemon (standard,
-        sharded, and columnar caches alike) would pass the equality check
+        and columnar caches alike) would pass the equality check
         and keep serving pre-crash verdicts.  Recovery bumps the
         generation past every value any daemon ever saw and then calls
         this on each one.
         """
-        purged = len(self._cache) + len(self._sharded)
-        if self._columnar is not None:
-            purged += len(self._columnar)
+        purged = self._cached_entries()
         self.flush_cache()
         gen = self.userdb.generation
         self._cache_gen = gen
@@ -393,41 +333,43 @@ class UBFDaemon:
         return verdict
 
     def _decide(self, pkt: Packet) -> Verdict:
-        verdict, listener = self._pre_decide(pkt, IdentService(self.stack))
-        if verdict is not None:
-            return verdict
-        try:
-            initiator = self._remote_ident(pkt.flow)
-        except IdentUnavailable as exc:
-            return self._degraded(pkt, listener, exc)
-        return self._conclude(pkt, listener, initiator)
+        if self.cache_enabled:
+            self._revalidate_generation()
+        self._tick += 1
+        flow = pkt.flow
+        listener = IdentService(self.stack).query_local(flow.proto,
+                                                        flow.dst_port)
+        decision = self._pre_ident(pkt, listener)
+        if decision is None:
+            try:
+                initiator = self._remote_ident(flow)
+            except IdentUnavailable as exc:
+                decision = self._degraded(exc)
+            else:
+                decision = self._conclude(pkt, listener, initiator)
+        return self._log(pkt, listener, *decision)
 
-    # -- decision cache (naive-path storage with the shared bound/TTL) ----------
+    # -- decision cache (bounded LRU dict shared by decide/decide_batch) --------
 
     def _cache_get(self, key: tuple[int, int, int]) -> Verdict | None:
-        if self.naive:
-            entry = self._cache.get(key)
-            if entry is None:
-                return None
-            verdict, stamp = entry
-            if self.cache_ttl is not None and self._tick - stamp > self.cache_ttl:
-                del self._cache[key]
-                self._count_cache_eviction("ttl")
-                return None
-            self._cache.move_to_end(key)
-            return verdict
-        return self._sharded.get(key, now=self._tick)
+        entry = self._cache.get(key)
+        if entry is None:
+            return None
+        verdict, stamp = entry
+        if self.cache_ttl is not None and self._tick - stamp > self.cache_ttl:
+            del self._cache[key]
+            self._count_cache_eviction("ttl")
+            return None
+        self._cache.move_to_end(key)
+        return verdict
 
     def _cache_put(self, key: tuple[int, int, int], verdict: Verdict) -> None:
-        if self.naive:
-            if self.cache_capacity is not None and key not in self._cache:
-                while len(self._cache) >= self.cache_capacity:
-                    self._cache.popitem(last=False)
-                    self._count_cache_eviction("lru")
-            self._cache[key] = (verdict, self._tick)
-            self._cache.move_to_end(key)
-        else:
-            self._sharded.put(key, verdict, now=self._tick)
+        if self.cache_capacity is not None and key not in self._cache:
+            while len(self._cache) >= self.cache_capacity:
+                self._cache.popitem(last=False)
+                self._count_cache_eviction("lru")
+        self._cache[key] = (verdict, self._tick)
+        self._cache.move_to_end(key)
 
     def _count_cache_eviction(self, reason: str) -> None:
         self.fabric.metrics.counter("ubf_cache_evictions_total",
@@ -441,18 +383,16 @@ class UBFDaemon:
         uid removed from a project group keeps replaying its pre-revocation
         cross-user ACCEPT out of the decision cache for as long as the
         entry lives (indefinitely in the standard tier, which has no TTL).
-        One integer compare per decide call; on a generation change every
-        decision-cache variant is dropped and the purge is counted under
+        One integer compare per decide call (per burst on the batch
+        paths); on a generation change both decision caches are dropped
+        and the purge is counted under
         ``ubf_cache_purged_total{reason="membership-change"}``.
         """
         gen = self.userdb.generation
         if gen == self._cache_gen:
             return
-        purged = len(self._cache) + len(self._sharded)
-        if self._columnar is not None:
-            purged += len(self._columnar)
+        purged = self._cached_entries()
         self._cache.clear()
-        self._sharded.clear()
         if self._columnar is not None:
             self._columnar.clear()
         self._keys_by_host.clear()
@@ -462,28 +402,17 @@ class UBFDaemon:
                 "ubf_cache_purged_total",
                 reason="membership-change").inc(purged)
 
-    def _pre_decide(self, pkt: Packet, local_ident: IdentService
-                    ) -> tuple[Verdict | None, IdentReply | None]:
-        """The pre-ident phase: listener lookup + cache/root short-circuits.
-
-        Returns ``(verdict, listener)``; ``verdict is None`` means the
-        packet needs a remote ident exchange before it can be concluded.
-        """
-        if self.cache_enabled:
-            self._revalidate_generation()
-        self._tick += 1
-        flow = pkt.flow
-        listener = local_ident.query_local(flow.proto, flow.dst_port)
+    def _pre_ident(self, pkt: Packet,
+                   listener: IdentReply | None) -> Decision | None:
+        """The pre-ident phase: no-listener, root-service and cache-hit
+        short-circuits.  ``None`` means the packet needs a remote ident
+        exchange before it can be concluded."""
         if listener is None:
             # nothing listening; let the stack produce ECONNREFUSED rather
             # than leaking whether the port is filtered
-            return self._log(pkt, None, None, None, Verdict.ACCEPT,
-                             "no listener (refusal handled by stack)",
-                             DecisionReason.NO_LISTENER), None
+            return _NO_LISTENER
         if listener.uid == 0:
-            return self._log(pkt, None, listener.uid, listener.egid,
-                             Verdict.ACCEPT, "root-owned service",
-                             DecisionReason.ROOT_SERVICE), listener
+            return _ROOT_SERVICE
         # Cache first: a hit answers from the kernel-stamped initiator uid
         # without touching the network.  (The stamp is trusted for the same
         # reason the ident answer is — same root-administered system image.)
@@ -491,24 +420,20 @@ class UBFDaemon:
             key = (pkt.src_uid, listener.uid, listener.egid)
             cached = self._cache_get(key)
             if cached is not None:
-                self.fabric.metrics.counter("ubf_cache_hits").inc()
                 if self.oracle is not None:
                     self.oracle.check_ubf_cached(self, key, cached)
-                return self._log(pkt, pkt.src_uid, listener.uid,
-                                 listener.egid, cached, "cached",
-                                 DecisionReason.CACHED), listener
-        return None, listener
+                return cached, pkt.src_uid, "cached", DecisionReason.CACHED
+        return None
 
     def _conclude(self, pkt: Packet, listener: IdentReply,
-                  initiator: IdentReply | None) -> Verdict:
-        """The post-ident phase: rule, cache store, full-decision metrics."""
+                  initiator: IdentReply | None) -> Decision:
+        """The post-ident phase: rule, oracle check, cache store."""
         if initiator is None:
             if self.oracle is not None:
                 self.oracle.check_ubf_conclude(self, pkt, listener, None,
                                                Verdict.DROP)
-            return self._log(pkt, None, listener.uid, listener.egid,
-                             Verdict.DROP, "initiator unidentifiable",
-                             DecisionReason.UNIDENTIFIABLE)
+            return (Verdict.DROP, None, "initiator unidentifiable",
+                    DecisionReason.UNIDENTIFIABLE)
         if pkt.src_uid is not None and initiator.uid != pkt.src_uid:
             # "…and the same query run locally": the kernel-stamped uid on
             # the packet is the local half of the paper's double check.  A
@@ -519,11 +444,10 @@ class UBFDaemon:
             if self.oracle is not None:
                 self.oracle.check_ubf_conclude(self, pkt, listener, None,
                                                Verdict.DROP)
-            return self._log(
-                pkt, None, listener.uid, listener.egid, Verdict.DROP,
-                f"ident reply uid {initiator.uid} contradicts "
-                f"kernel-stamped uid {pkt.src_uid}",
-                DecisionReason.IDENT_MISMATCH)
+            return (Verdict.DROP, None,
+                    f"ident reply uid {initiator.uid} contradicts "
+                    f"kernel-stamped uid {pkt.src_uid}",
+                    DecisionReason.IDENT_MISMATCH)
         rule = self._rule if self.naive else self._rule_indexed
         verdict, reason, code = rule(initiator.uid, initiator.groups,
                                      listener.uid, listener.egid)
@@ -534,9 +458,7 @@ class UBFDaemon:
             key = (initiator.uid, listener.uid, listener.egid)
             self._cache_put(key, verdict)
             self._keys_by_host.setdefault(pkt.flow.src_host, set()).add(key)
-        self.fabric.metrics.counter("ubf_full_decisions").inc()
-        return self._log(pkt, initiator.uid, listener.uid, listener.egid,
-                         verdict, reason, code)
+        return verdict, initiator.uid, reason, code
 
     def decide_batch(self, pkts: list[Packet]) -> list[Verdict]:
         """Decide a burst of simultaneously queued packets, coalescing
@@ -548,6 +470,10 @@ class UBFDaemon:
         ``(src_host, proto, src_port)`` — and each group performs exactly
         one upstream ident exchange whose answer (or failure) concludes
         every waiter.  ``ident_coalesced`` counts the queries saved.
+
+        The generation check, each distinct listener lookup and the
+        verdict counters are paid once per burst; rows are not appended
+        to :attr:`log` (see the module docstring for what a burst records).
 
         When a tracer is attached the whole burst is one ``ubf.decide_batch``
         span with a child ``ubf.ident_group`` span per coalesced exchange —
@@ -578,15 +504,35 @@ class UBFDaemon:
 
     def _decide_batch(self, pkts: list[Packet],
                       span: object | None) -> list[Verdict]:
-        local_ident = IdentService(self.stack)
+        if self.cache_enabled:
+            self._revalidate_generation()
+        query_local = IdentService(self.stack).query_local
         results: list[Verdict | None] = [None] * len(pkts)
+        counts: dict[tuple[Verdict, DecisionReason], int] = {}
+        audit = self.audit
+
+        def record(i: int, decision: Decision) -> None:
+            verdict, iu, reason, code = decision
+            results[i] = verdict
+            counts[verdict, code] = counts.get((verdict, code), 0) + 1
+            if (audit is not None and iu is not None
+                    and verdict is Verdict.ACCEPT):
+                self._audit_accept(pkts[i], iu, reason)
+
+        listeners: dict[tuple, IdentReply | None] = {}
         waiters: dict[tuple, list[tuple[int, IdentReply]]] = {}
         for i, pkt in enumerate(pkts):
-            verdict, listener = self._pre_decide(pkt, local_ident)
-            if verdict is not None:
-                results[i] = verdict
-                continue
+            self._tick += 1
             flow = pkt.flow
+            port = (flow.proto, flow.dst_port)
+            if port in listeners:
+                listener = listeners[port]
+            else:
+                listener = listeners[port] = query_local(*port)
+            decision = self._pre_ident(pkt, listener)
+            if decision is not None:
+                record(i, decision)
+                continue
             waiters.setdefault((flow.src_host, flow.proto, flow.src_port),
                                []).append((i, listener))
         coalesced = self.fabric.metrics.counter("ident_coalesced")
@@ -602,20 +548,43 @@ class UBFDaemon:
             try:
                 initiator = self._remote_ident(pkts[parked[0][0]].flow)
             except IdentUnavailable as exc:
-                for i, listener in parked:
-                    results[i] = self._degraded(pkts[i], listener, exc)
+                for i, _ in parked:
+                    record(i, self._degraded(exc))
                 if child is not None:
                     self.tracer.finish(child, status="degraded",
                                        error=type(exc).__name__)
                 continue
             for i, listener in parked:
-                results[i] = self._conclude(pkts[i], listener, initiator)
+                record(i, self._conclude(pkts[i], listener, initiator))
             if child is not None:
                 self.tracer.finish(
                     child,
                     status="ok" if initiator is not None else "unidentifiable",
                     uid=initiator.uid if initiator is not None else -1)
+        self._count_verdicts(counts)
         return results
+
+    def _count_verdicts(self, counts: dict[tuple[Verdict, DecisionReason],
+                                           int]) -> None:
+        """Bulk-increment a burst's verdict counters, one increment per
+        closed reason (shared by ``decide_batch`` and ``decide_columns``)."""
+        metrics = self.fabric.metrics
+        hits = full = drops = 0
+        for (verdict, code), n in counts.items():
+            metrics.counter("ubf_verdicts_total", verdict=verdict.value,
+                            reason=code.value).inc(n)
+            if verdict is Verdict.DROP:
+                drops += n
+            if code is DecisionReason.CACHED:
+                hits += n
+            elif code in _FULL_DECISIONS:
+                full += n
+        if hits:
+            metrics.counter("ubf_cache_hits").inc(hits)
+        if full:
+            metrics.counter("ubf_full_decisions").inc(full)
+        if drops:
+            metrics.counter("ubf_denials").inc(drops)
 
     # -- columnar hot path (E27) ------------------------------------------------
 
@@ -669,7 +638,7 @@ class UBFDaemon:
 
         Returns the decided slice of the bitmap (``V_ACCEPT``/``V_DROP``).
         Metric counters are exact (bulk-incremented per closed reason);
-        per-row decision-log/audit records are intentionally skipped.
+        per-row audit records are intentionally skipped.
         """
         n = batch.n
         out = batch.verdict[:n]
@@ -701,36 +670,33 @@ class UBFDaemon:
                 self.tracer.finish(span, status="error",
                                    error=type(exc).__name__)
             raise
-        drops = int((out == V_DROP).sum())
-        if drops:
-            metrics.counter("ubf_denials").inc(drops)
-        for (verdict, code), cnt in counts.items():
-            if cnt:
-                metrics.counter("ubf_verdicts_total", verdict=verdict,
-                                reason=code.value).inc(cnt)
+        self._count_verdicts(counts)
         if span is not None:
+            drops = int((out == V_DROP).sum())
             self.tracer.finish(
                 span, accepts=n - drops, drops=drops,
-                cache_hits=counts.get(("accept", DecisionReason.CACHED), 0)
-                + counts.get(("drop", DecisionReason.CACHED), 0))
+                cache_hits=sum(cnt for (_, code), cnt in counts.items()
+                               if code is DecisionReason.CACHED))
         return out
 
     def _decide_columns(self, batch: FlowBatch, pkts, out, su, lu, lg,
                         now: int, span) -> dict:
         metrics = self.fabric.metrics
-        counts: dict[tuple[str, DecisionReason], int] = {}
+        counts: dict[tuple[Verdict, DecisionReason], int] = {}
 
-        def count(verdict: str, code: DecisionReason, n: int) -> None:
+        def count(verdict: Verdict, code: DecisionReason, n: int) -> None:
             if n:
                 counts[(verdict, code)] = counts.get((verdict, code), 0) + n
 
         # pass 1: short-circuits that need no identity at all
         no_listener = lu < 0
         out[no_listener] = V_ACCEPT
-        count("accept", DecisionReason.NO_LISTENER, int(no_listener.sum()))
+        count(Verdict.ACCEPT, DecisionReason.NO_LISTENER,
+              int(no_listener.sum()))
         root_service = lu == 0
         out[root_service] = V_ACCEPT
-        count("accept", DecisionReason.ROOT_SERVICE, int(root_service.sum()))
+        count(Verdict.ACCEPT, DecisionReason.ROOT_SERVICE,
+              int(root_service.sum()))
 
         # pass 2: columnar cache probe for rows with a kernel uid stamp
         if self.cache_enabled:
@@ -742,10 +708,9 @@ class UBFDaemon:
                 hrows = rows[hit]
                 if hrows.size:
                     out[hrows] = got[hit]
-                    metrics.counter("ubf_cache_hits").inc(int(hrows.size))
                     n_acc = int((got[hit] == V_ACCEPT).sum())
-                    count("accept", DecisionReason.CACHED, n_acc)
-                    count("drop", DecisionReason.CACHED,
+                    count(Verdict.ACCEPT, DecisionReason.CACHED, n_acc)
+                    count(Verdict.DROP, DecisionReason.CACHED,
                           int(hrows.size) - n_acc)
                     if self.oracle is not None:
                         for r in hrows:
@@ -829,9 +794,9 @@ class UBFDaemon:
                 id_reply.append(initiator)
             if child is not None:
                 self.tracer.finish(child, status="ok", uid=initiator.uid)
-        count(degraded_verdict.value, DecisionReason.DEGRADED, n_degraded)
-        count("drop", DecisionReason.UNIDENTIFIABLE, n_unident)
-        count("drop", DecisionReason.IDENT_MISMATCH, n_mismatch)
+        count(degraded_verdict, DecisionReason.DEGRADED, n_degraded)
+        count(Verdict.DROP, DecisionReason.UNIDENTIFIABLE, n_unident)
+        count(Verdict.DROP, DecisionReason.IDENT_MISMATCH, n_mismatch)
         if n_mismatch:
             metrics.counter("ubf_ident_mismatches").inc(n_mismatch)
         if not id_rows:
@@ -862,11 +827,11 @@ class UBFDaemon:
         accept = acc_root | acc_same | grp
         out[rows[accept]] = V_ACCEPT
         out[rows[~accept]] = V_DROP
-        count("accept", DecisionReason.ROOT_INITIATOR, int(acc_root.sum()))
-        count("accept", DecisionReason.SAME_USER, int(acc_same.sum()))
-        count("accept", DecisionReason.GROUP_MEMBER, int(grp.sum()))
-        count("drop", DecisionReason.CROSS_USER, int((~accept).sum()))
-        metrics.counter("ubf_full_decisions").inc(int(rows.size))
+        count(Verdict.ACCEPT, DecisionReason.ROOT_INITIATOR,
+              int(acc_root.sum()))
+        count(Verdict.ACCEPT, DecisionReason.SAME_USER, int(acc_same.sum()))
+        count(Verdict.ACCEPT, DecisionReason.GROUP_MEMBER, int(grp.sum()))
+        count(Verdict.DROP, DecisionReason.CROSS_USER, int((~accept).sum()))
         if self.cache_enabled:
             cache = self._columnar
             keys_by_host = self._keys_by_host
@@ -920,8 +885,7 @@ class UBFDaemon:
                     self.ident_backoff_us * (2 ** attempt))
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _degraded(self, pkt: Packet, listener: IdentReply,
-                  exc: IdentUnavailable) -> Verdict:
+    def _degraded(self, exc: IdentUnavailable) -> Decision:
         """Identity unavailable after retries: apply the degradation policy.
 
         Never cached — a degraded verdict reflects an infrastructure fault,
@@ -935,9 +899,8 @@ class UBFDaemon:
             self.oracle.check_ubf_degraded(self, verdict)
         self.fabric.metrics.counter("ubf_degraded_verdicts",
                                     policy=policy).inc()
-        return self._log(pkt, None, listener.uid, listener.egid, verdict,
-                         f"degraded: {exc} ({policy})",
-                         DecisionReason.DEGRADED)
+        return (verdict, None, f"degraded: {exc} ({policy})",
+                DecisionReason.DEGRADED)
 
     def _rule(self, init_uid: int, init_groups: frozenset[int],
               listen_uid: int, listen_egid: int
@@ -1012,24 +975,41 @@ class UBFDaemon:
             self._allow_arrays[egid] = arr
         return arr
 
-    def _log(self, pkt: Packet, iu, lu, lg, verdict: Verdict,
-             reason: str, code: DecisionReason) -> Verdict:
+    def _log(self, pkt: Packet, listener: IdentReply | None,
+             verdict: Verdict, iu: int | None, reason: str,
+             code: DecisionReason) -> Verdict:
+        """Record one ``decide`` decision: its log entry, its counters and,
+        for a clean ACCEPT, its audit record."""
+        flow = pkt.flow
         self.log.append(UBFDecisionLog(
-            flow=(f"{pkt.flow.proto.value} {pkt.flow.src_host}:"
-                  f"{pkt.flow.src_port}->{pkt.flow.dst_host}:{pkt.flow.dst_port}"),
-            initiator_uid=iu, listener_uid=lu, listener_egid=lg,
+            flow=(f"{flow.proto.value} {flow.src_host}:"
+                  f"{flow.src_port}->{flow.dst_host}:{flow.dst_port}"),
+            initiator_uid=iu,
+            listener_uid=None if listener is None else listener.uid,
+            listener_egid=None if listener is None else listener.egid,
             verdict=verdict, reason=reason))
-        self.fabric.metrics.counter("ubf_verdicts_total",
-                                    verdict=verdict.value,
-                                    reason=code.value).inc()
+        metrics = self.fabric.metrics
+        if code is DecisionReason.CACHED:
+            metrics.counter("ubf_cache_hits").inc()
+        elif code in _FULL_DECISIONS:
+            metrics.counter("ubf_full_decisions").inc()
+        metrics.counter("ubf_verdicts_total", verdict=verdict.value,
+                        reason=code.value).inc()
         if verdict is Verdict.DROP:
-            self.fabric.metrics.counter("ubf_denials").inc()
-        elif self.audit is not None and iu is not None:
-            self.audit.ubf_verdict(
-                uid=iu, node=pkt.flow.src_host,
-                target=f"{pkt.flow.dst_host}:{pkt.flow.dst_port}",
-                verdict=verdict.value, reason=reason)
+            metrics.counter("ubf_denials").inc()
+        elif iu is not None:
+            self._audit_accept(pkt, iu, reason)
         return verdict
+
+    def _audit_accept(self, pkt: Packet, iu: int, reason: str) -> None:
+        """A clean ACCEPT with a known initiator reaches the audit trail
+        (denies arrive there through the security-event stream)."""
+        if self.audit is not None:
+            flow = pkt.flow
+            self.audit.ubf_verdict(
+                uid=iu, node=flow.src_host,
+                target=f"{flow.dst_host}:{flow.dst_port}",
+                verdict=Verdict.ACCEPT.value, reason=reason)
 
     def purge_host(self, host: str) -> int:
         """Drop every cached verdict whose deciding flow came from *host*.
@@ -1047,8 +1027,6 @@ class UBFDaemon:
         purged = 0
         for key in keys:
             hit = self._cache.pop(key, None) is not None
-            if self._sharded.pop(key) is not None:
-                hit = True
             if (self._columnar is not None
                     and self._columnar.pop(*key) is not None):
                 hit = True
@@ -1059,9 +1037,14 @@ class UBFDaemon:
                 "ubf_cache_purged_total", reason="dead-host").inc(purged)
         return purged
 
+    def _cached_entries(self) -> int:
+        n = len(self._cache)
+        if self._columnar is not None:
+            n += len(self._columnar)
+        return n
+
     def flush_cache(self) -> None:
         self._cache.clear()
-        self._sharded.clear()
         if self._columnar is not None:
             self._columnar.clear()
         self._keys_by_host.clear()

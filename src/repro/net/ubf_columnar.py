@@ -19,9 +19,9 @@ built on:
 
 Verdict encoding in bitmaps: ``V_DROP=0``, ``V_ACCEPT=1``; ``V_MISS=255``
 doubles as "no verdict yet" in :class:`FlowBatch` and "not cached" in
-lookups.  All hashing is arithmetic on ints (the same mixing as
-``ShardedVerdictCache._shard``), so layouts are PYTHONHASHSEED-stable and
-two runs probe identical slot sequences.
+lookups.  All hashing is arithmetic on ints (fixed mixing primes), so
+layouts are PYTHONHASHSEED-stable and two runs probe identical slot
+sequences.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ NO_ID = -1
 _EMPTY = -1
 _TOMB = -2
 
-# the ShardedVerdictCache mixing primes, kept identical so cache layout
-# differences can never explain a verdict difference between paths
+# slot-hash mixing primes: arithmetic, so the layout never depends on
+# hash() or PYTHONHASHSEED
 _P1 = 1_000_003
 _P2 = 8_191
 
@@ -188,8 +188,7 @@ class ColumnarVerdictCache:
     counted as ``reason=ttl``.  Strict zones use this to bound how long a
     group-membership change can keep serving a stale ACCEPT.
 
-    Probing is linear with the ``ShardedVerdictCache`` mixing primes;
-    batch lookups probe all rows in lockstep vectorized passes bounded by
+    Probing is linear from the arithmetic slot hash; batch lookups probe all rows in lockstep vectorized passes bounded by
     the table's worst insertion displacement.
     """
 

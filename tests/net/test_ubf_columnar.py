@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.faults import FaultKind
 from repro.net import ConnState, FiveTuple, Packet, Proto, Verdict
-from repro.net.ubf import ShardedVerdictCache
 from repro.net.ubf_columnar import (
     V_ACCEPT,
     V_DROP,
@@ -30,6 +29,8 @@ from repro.net.ubf_columnar import (
 )
 from repro.net.zones import ZoneTier, apply_tier
 from repro.obs import Tracer
+from repro.obs.audit import AuditTrail
+from repro.oracle import SeparationOracle
 from repro.sim.metrics import MetricSet
 
 from tests.net.conftest import build_fabric, proc_on
@@ -190,43 +191,6 @@ class TestColumnarCache:
         assert cache.nbytes == cache._cur.nbytes + cache._prev.nbytes
 
 
-class TestBoundedShardedCache:
-    def test_lru_eviction_per_shard(self):
-        metrics = MetricSet()
-        cache = ShardedVerdictCache(shards=1, capacity=4, metrics=metrics)
-        for uid in range(6):
-            cache.put((uid, 1, 1), Verdict.ACCEPT)
-        assert len(cache) == 4
-        assert cache.get((0, 1, 1)) is None          # oldest evicted
-        assert cache.get((5, 1, 1)) is Verdict.ACCEPT
-        assert metrics.counter("ubf_cache_evictions_total",
-                               reason="lru").value == 2
-
-    def test_get_is_an_lru_touch(self):
-        cache = ShardedVerdictCache(shards=1, capacity=2)
-        cache.put((1, 1, 1), Verdict.ACCEPT)
-        cache.put((2, 1, 1), Verdict.ACCEPT)
-        assert cache.get((1, 1, 1)) is Verdict.ACCEPT  # touch: 1 now MRU
-        cache.put((3, 1, 1), Verdict.ACCEPT)           # evicts 2, not 1
-        assert cache.get((1, 1, 1)) is Verdict.ACCEPT
-        assert cache.get((2, 1, 1)) is None
-
-    def test_ttl_expiry(self):
-        metrics = MetricSet()
-        cache = ShardedVerdictCache(shards=2, ttl=10, metrics=metrics)
-        cache.put((1, 1, 1), Verdict.ACCEPT, now=100)
-        assert cache.get((1, 1, 1), now=110) is Verdict.ACCEPT
-        assert cache.get((1, 1, 1), now=111) is None
-        assert metrics.counter("ubf_cache_evictions_total",
-                               reason="ttl").value == 1
-
-    def test_unbounded_by_default(self):
-        cache = ShardedVerdictCache(shards=2)
-        for uid in range(100):
-            cache.put((uid, 1, 1), Verdict.ACCEPT)
-        assert len(cache) == 100 and cache.evictions == 0
-
-
 class TestNaiveCacheBound:
     def test_naive_path_evicts_lru(self, userdb):
         fabric, nodes, daemons = build_fabric(userdb, ["c1", "c2"],
@@ -272,6 +236,81 @@ DST_PORTS = (5000, 5001, 5002, 5003, 6000)       # 6000: no listener
 def run_columnar(daemon, pkts):
     batch = daemon.columns_from_packets(pkts)
     return to_verdicts(daemon.decide_columns(batch, pkts))
+
+
+def stamped(userdb, src_port, dst_port):
+    """A kernel-stamped packet from one of the scenario's initiators."""
+    return pkt(src_port, dst_port,
+               src_uid=userdb.user(PORT_UID[src_port]).uid)
+
+
+def hits(fabric):
+    return fabric.metrics.report().get("ubf_cache_hits", 0)
+
+
+class TestBoundedDaemonCache:
+    """The one verdict dict behind ``decide`` and ``decide_batch``:
+    LRU bound, LRU touch on a hit, TTL expiry, and eviction counters."""
+
+    def test_lru_eviction(self, userdb):
+        fabric, nodes, daemon = build_columnar_scenario(userdb)
+        daemon.cache_capacity = 4
+        first = [stamped(userdb, sp, dp) for sp in (40000, 40001)
+                 for dp in (5000, 5001, 5003)]
+        for p in first:
+            daemon.decide(p)
+        assert len(daemon._cache) == 4
+        assert fabric.metrics.counter("ubf_cache_evictions_total",
+                                      reason="lru").value == 2
+        daemon.decide(first[-1])                  # newest: still cached
+        assert hits(fabric) == 1
+        daemon.decide(first[0])                   # oldest: evicted
+        assert hits(fabric) == 1
+
+    def test_get_is_an_lru_touch(self, userdb):
+        fabric, nodes, daemon = build_columnar_scenario(userdb)
+        daemon.cache_capacity = 2
+        a, b, c = (stamped(userdb, 40000, dp) for dp in (5000, 5001, 5003))
+        daemon.decide(a)
+        daemon.decide(b)
+        daemon.decide(a)          # hit: a is now most recently used
+        daemon.decide(c)          # evicts b, not a
+        assert hits(fabric) == 1
+        daemon.decide(a)
+        assert hits(fabric) == 2
+        daemon.decide(b)
+        assert hits(fabric) == 2
+
+    def test_ttl_expiry(self, userdb):
+        fabric, nodes, daemon = build_columnar_scenario(userdb)
+        daemon.cache_ttl = 10
+        alice = stamped(userdb, 40000, 5000)
+        daemon.decide(alice)                      # stored at tick 1
+        for _ in range(9):                        # ticks 2..10
+            daemon.decide(pkt(40001, 6000))
+        daemon.decide(alice)                      # tick 11: age 10
+        assert hits(fabric) == 1
+        daemon.decide(alice)                      # tick 12: age 11
+        assert hits(fabric) == 1
+        assert fabric.metrics.counter("ubf_cache_evictions_total",
+                                      reason="ttl").value == 1
+
+    def test_unbounded_when_capacity_is_none(self, userdb):
+        fabric, nodes, daemon = build_columnar_scenario(userdb)
+        daemon.cache_capacity = None
+        daemon.decide_batch([stamped(userdb, sp, dp)
+                             for sp in (40000, 40001, 40002, 40003)
+                             for dp in (5000, 5001, 5003)])
+        assert len(daemon._cache) == 12
+        assert not any(k.startswith("ubf_cache_evictions_total")
+                       for k in fabric.metrics.report())
+
+    def test_batch_and_decide_share_one_cache(self, userdb):
+        fabric, nodes, daemon = build_columnar_scenario(userdb)
+        alice = stamped(userdb, 40000, 5000)
+        daemon.decide_batch([alice])
+        assert daemon.decide(alice) is Verdict.ACCEPT
+        assert hits(fabric) == 1
 
 
 class TestColumnarMatchesReferences:
@@ -478,3 +517,134 @@ class TestFirewallBatchWiring:
         assert fw.evaluate_batch([pkt(40000, 5000)]) == [Verdict.DROP]
         daemon.restart()
         assert fw.evaluate_batch([pkt(40000, 5000)]) == [Verdict.ACCEPT]
+
+
+#: counters decide_batch bulk-increments per closed reason
+VERDICT_COUNTERS = ("ubf_verdicts_total", "ubf_denials", "ubf_cache_hits",
+                    "ubf_full_decisions")
+
+
+def verdict_counters(fabric) -> dict:
+    return {k: v for k, v in fabric.metrics.report().items()
+            if k.startswith(VERDICT_COUNTERS)}
+
+
+def allow_rows(trail) -> list:
+    return sorted((r.uid, r.node, r.target, r.detail)
+                  for r in trail.records
+                  if r.mechanism == "ubf" and r.action == "allow")
+
+
+class TestBatchMatchesDecide:
+    """``decide_batch`` against per-packet ``decide`` over bursts of
+    distinct principal triples (so a sequential decision can never hit
+    an entry an earlier packet of the same burst created)."""
+
+    def _run(self, db, rounds, mode):
+        fabric, nodes, daemon = build_columnar_scenario(db)
+        daemon.audit = AuditTrail()
+        daemon.oracle = oracle = SeparationOracle(sampling_rate=1.0,
+                                                  fail_fast=True)
+        verdicts = []
+        for burst_pkts in rounds:
+            if mode == "decide":
+                verdicts.append([daemon.decide(p) for p in burst_pkts])
+            else:
+                logged = len(daemon.log)
+                verdicts.append(daemon.decide_batch(burst_pkts))
+                assert len(daemon.log) == logged
+        return (verdicts, verdict_counters(fabric), allow_rows(daemon.audit),
+                oracle.total_checks, daemon._tick)
+
+    @pytest.mark.parametrize("stamp", [True, False])
+    def test_verdicts_counters_and_audit_identical(self, userdb, stamp):
+        def burst_of(db):
+            return [pkt(sp, dp, src_uid=db.user(PORT_UID[sp]).uid
+                        if stamp and sp in PORT_UID else None)
+                    for sp in SRC_PORTS for dp in DST_PORTS]
+        # round 1 is cold (full decisions); round 2 replays the same
+        # triples, so stamped packets answer from the cache
+        rounds = [burst_of(userdb), burst_of(userdb)]
+        seq = self._run(userdb, rounds, "decide")
+        batch = self._run(userdb, rounds, "batch")
+        assert batch[0] == seq[0]
+        assert batch[1] == seq[1]
+        assert batch[2] == seq[2]
+        assert batch[3] == seq[3]          # oracle checks
+        assert batch[4] == seq[4]          # one decision tick per packet
+        rep = batch[1]
+        assert rep["ubf_full_decisions"] > 0 and rep["ubf_denials"] > 0
+        if stamp:
+            assert rep["ubf_cache_hits"] > 0
+
+    def test_degraded_rows_match_decide(self, userdb):
+        pkts = [pkt(sp, dp) for sp in (40000, 40001) for dp in DST_PORTS]
+        results = []
+        for mode in ("decide", "batch"):
+            fabric, nodes, daemon = build_columnar_scenario(userdb)
+            fabric.faults.inject(FaultKind.IDENTD_UNRESPONSIVE, "c1")
+            got = (daemon.decide_batch(pkts) if mode == "batch"
+                   else [daemon.decide(p) for p in pkts])
+            results.append((got, verdict_counters(fabric)))
+        assert results[0] == results[1]
+        assert len(daemon.log) == 0  # the batch run logged nothing
+
+
+def flow_counters(fabric) -> dict:
+    rep = fabric.metrics.report()
+    return {k: rep.get(k, 0) for k in ("conntrack_fastpath_packets",
+                                       "rule_walks", "nfqueue_decisions")}
+
+
+class TestEvaluateBatchCounters:
+    def _burst(self, fw):
+        """A cold burst, then a mixed one: conntrack replays of accepted
+        flows, NEW flows to user ports (queued) and to a privileged
+        port (ACCEPT rule)."""
+        cold = [pkt(40000, 5000), pkt(40001, 5000), pkt(40001, 5003)]
+        fw.evaluate_batch(cold)
+        est = Packet(cold[0].flow, ConnState.ESTABLISHED, payload_len=64)
+        return [est, est, pkt(40002, 5001), pkt(40000, 22),
+                pkt(40003, 5000), pkt(40001, 6000)]
+
+    def test_totals_cover_every_packet(self, userdb):
+        fabric, nodes, daemon = build_columnar_scenario(userdb)
+        fw = daemon.stack.firewall
+        burst_pkts = self._burst(fw)
+        before = flow_counters(fabric)
+        fw.evaluate_batch(burst_pkts)
+        after = flow_counters(fabric)
+        delta = {k: after[k] - before[k] for k in after}
+        assert delta["conntrack_fastpath_packets"] == 2
+        assert (delta["conntrack_fastpath_packets"] + delta["rule_walks"]
+                == len(burst_pkts))
+        queued = [p for p in burst_pkts if p.state is ConnState.NEW
+                  and p.flow.dst_port >= 1024]
+        assert delta["nfqueue_decisions"] == len(queued) == 3
+
+    def test_matches_evaluate_per_packet(self, userdb):
+        runs = []
+        for mode in ("evaluate", "batch"):
+            fabric, nodes, daemon = build_columnar_scenario(userdb)
+            fw = daemon.stack.firewall
+            burst_pkts = self._burst(fw)
+            got = (fw.evaluate_batch(burst_pkts) if mode == "batch"
+                   else [fw.evaluate(p) for p in burst_pkts])
+            runs.append((got, flow_counters(fabric)))
+        assert runs[0] == runs[1]
+
+    def test_fail_closed_without_daemon_counts_like_evaluate(self, userdb):
+        runs = []
+        for mode in ("evaluate", "batch"):
+            fabric, nodes, daemon = build_columnar_scenario(userdb)
+            fw = daemon.stack.firewall
+            burst_pkts = self._burst(fw)
+            fw.unbind_nfqueue()
+            base = flow_counters(fabric)
+            got = (fw.evaluate_batch(burst_pkts) if mode == "batch"
+                   else [fw.evaluate(p) for p in burst_pkts])
+            now = flow_counters(fabric)
+            runs.append((got, {k: now[k] - base[k] for k in now}))
+        assert runs[0] == runs[1]
+        verdicts, delta = runs[1]
+        assert verdicts.count(Verdict.DROP) == delta["nfqueue_decisions"] == 3

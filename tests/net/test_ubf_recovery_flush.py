@@ -57,10 +57,10 @@ class TestRecoveryFlush:
         dave = cluster.login("dave")
         assert dave.socket().connect(host, 7000).open  # warms the cache
         daemon = cluster.ubf_daemons[host]
-        assert len(daemon._cache) + len(daemon._sharded) >= 1
+        assert len(daemon._cache) >= 1
         report = crash_recover(cluster)
         assert report.purged_verdicts >= 1
-        assert len(daemon._cache) + len(daemon._sharded) == 0
+        assert len(daemon._cache) == 0
         for d in cluster.ubf_daemons.values():
             assert d._cache_gen == cluster.userdb.generation
             assert d._allow_gen == cluster.userdb.generation

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 from repro.core import Cluster
 from repro.core.presets import LLSC
+from repro.net import Verdict
 from repro.net.zones import POSTURES, ZoneTier, apply_tier, apply_zone_tiers
 from repro.sched.partitions import Partition
 
@@ -34,8 +35,13 @@ class TestApplyTier:
         posture = apply_tier(daemon, ZoneTier.STRICT)
         assert daemon.ident_retries == posture.ident_retries == 4
         assert daemon.cache_ttl == posture.cache_ttl == 4096
-        # the live cache objects picked the TTL up
-        assert daemon._sharded.ttl == 4096
+        # the live verdict cache honours the TTL
+        key = (1001, 1002, 1002)
+        daemon._cache_put(key, Verdict.ACCEPT)
+        daemon._tick += 4096
+        assert daemon._cache_get(key) is Verdict.ACCEPT
+        daemon._tick += 1
+        assert daemon._cache_get(key) is None
 
     def test_posture_is_monotone_on_safety(self, userdb):
         fabric, nodes, daemons = build_fabric(userdb, ["c1"], ubf=True)
