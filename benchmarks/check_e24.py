@@ -2,7 +2,7 @@
 
 Compares the freshly produced ``benchmarks/results/e24_scale.json`` (the
 smoke run CI just executed) against the committed
-``benchmarks/results/e24_baseline.json`` and exits non-zero when:
+``benchmarks/baselines/e24_baseline.json`` and exits non-zero when:
 
 * indexed events/sec at any baseline sweep point regressed more than 20%
   below the baseline figure (the baseline stores a *floor* — half the
@@ -27,14 +27,16 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 TOLERANCE = 0.8  # >20% below the committed floor fails
 
 
-def load(name: str) -> dict:
-    path = os.path.join(HERE, "results", name)
+def load(name: str, folder: str = "results") -> dict:
+    """Read one JSON document: a run output from ``results/`` (ignored by
+    git) or a committed gate baseline from ``baselines/`` (tracked)."""
+    path = os.path.join(HERE, folder, name)
     with open(path) as fh:
         return json.load(fh)
 
 
 def main() -> int:
-    baseline = load("e24_baseline.json")
+    baseline = load("e24_baseline.json", "baselines")
     current = load("e24_scale.json")
     failures: list[str] = []
 

@@ -2,7 +2,7 @@
 
 Compares the freshly produced ``benchmarks/results/e28_shard.json`` (the
 smoke run CI just executed) against the committed
-``benchmarks/results/e28_baseline.json`` and exits non-zero when:
+``benchmarks/baselines/e28_baseline.json`` and exits non-zero when:
 
 * any identity flag is false — a sharded or multiprocessing run that is
   not bit-identical to the single-engine reference is a correctness bug,
@@ -34,14 +34,16 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 TOLERANCE = 0.8  # >20% below the committed floor fails
 
 
-def load(name: str) -> dict:
-    path = os.path.join(HERE, "results", name)
+def load(name: str, folder: str = "results") -> dict:
+    """Read one JSON document: a run output from ``results/`` (ignored by
+    git) or a committed gate baseline from ``baselines/`` (tracked)."""
+    path = os.path.join(HERE, folder, name)
     with open(path) as fh:
         return json.load(fh)
 
 
 def main() -> int:
-    baseline = load("e28_baseline.json")
+    baseline = load("e28_baseline.json", "baselines")
     current = load("e28_shard.json")
     failures: list[str] = []
 

@@ -2,7 +2,7 @@
 
 Compares the freshly produced ``benchmarks/results/e29_attacks.json``
 (the campaign replay CI just executed) against the committed
-``benchmarks/results/e29_baseline.json`` and exits non-zero when:
+``benchmarks/baselines/e29_baseline.json`` and exits non-zero when:
 
 * any probe ``SUCCEEDED`` (or was merely ``DETECTED``) under the
   ``full`` preset — a silent or late separation failure is never a
@@ -35,14 +35,16 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 TOLERANCE = 0.8  # >20% below the committed floor fails
 
 
-def load(name: str) -> dict:
-    path = os.path.join(HERE, "results", name)
+def load(name: str, folder: str = "results") -> dict:
+    """Read one JSON document: a run output from ``results/`` (ignored by
+    git) or a committed gate baseline from ``baselines/`` (tracked)."""
+    path = os.path.join(HERE, folder, name)
     with open(path) as fh:
         return json.load(fh)
 
 
 def main() -> int:
-    baseline = load("e29_baseline.json")
+    baseline = load("e29_baseline.json", "baselines")
     current = load("e29_attacks.json")
     failures: list[str] = []
 

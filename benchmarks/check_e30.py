@@ -2,7 +2,7 @@
 
 Compares the freshly produced ``benchmarks/results/e30_recovery.json``
 (the smoke run CI just executed) against the committed
-``benchmarks/results/e30_baseline.json`` and exits non-zero when:
+``benchmarks/baselines/e30_baseline.json`` and exits non-zero when:
 
 * any identity flag is false — a recovered run that is not
   digest-identical to its uncrashed reference, or a recovery that did
@@ -34,14 +34,16 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 RECOVERY_TOLERANCE = 2.5  # x the committed reference recovery time
 
 
-def load(name: str) -> dict:
-    path = os.path.join(HERE, "results", name)
+def load(name: str, folder: str = "results") -> dict:
+    """Read one JSON document: a run output from ``results/`` (ignored by
+    git) or a committed gate baseline from ``baselines/`` (tracked)."""
+    path = os.path.join(HERE, folder, name)
     with open(path) as fh:
         return json.load(fh)
 
 
 def main() -> int:
-    baseline = load("e30_baseline.json")
+    baseline = load("e30_baseline.json", "baselines")
     current = load("e30_recovery.json")
     failures: list[str] = []
 

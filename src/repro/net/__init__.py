@@ -36,12 +36,6 @@ from repro.net.ubf import (
     UBFDecisionLog,
     firewall_cost_us,
 )
-from repro.net.ubf_columnar import (
-    ColumnarVerdictCache,
-    FlowBatch,
-    in_sorted,
-    to_verdicts,
-)
 from repro.net.zones import (
     POSTURES,
     UBFPosture,
@@ -60,6 +54,5 @@ __all__ = [
     "HostStack", "SocketAPI",
     "COST_US", "DecisionReason", "UBFDaemon",
     "UBFDecisionLog", "firewall_cost_us",
-    "ColumnarVerdictCache", "FlowBatch", "in_sorted", "to_verdicts",
     "POSTURES", "UBFPosture", "ZoneTier", "apply_tier", "apply_zone_tiers",
 ]

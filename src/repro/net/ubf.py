@@ -26,10 +26,10 @@ listener egid changes are handled by keying on the egid *value*, so an
 ``sg`` to a new group produces a different key and a fresh (authoritative)
 decision.  Packets arriving without a uid stamp always take the full path.
 
-There are two decision caches: one bounded LRU dict shared by both
-per-object paths (``decide`` and ``decide_batch``), and the columnar
-cache.  ``cache_capacity`` (None = unbounded) LRU-evicts both, with
-evictions counted under ``ubf_cache_evictions_total{reason=lru|ttl}``.
+There is one decision cache: a bounded LRU dict shared by both decision
+paths (``decide`` and ``decide_batch``).  ``cache_capacity`` (None =
+unbounded) LRU-evicts it, with evictions counted under
+``ubf_cache_evictions_total{reason=lru|ttl}``.
 At millions of distinct principal triples an unbounded decision cache is
 an OOM, not a cache.
 ``cache_ttl`` (logical decision ticks; the strict-zone posture sets it)
@@ -64,11 +64,12 @@ closed reason of ``ubf_verdicts_total``, ``ubf_denials``,
 ``ubf_cache_hits`` and ``ubf_full_decisions``.  The group rule consults a
 precomputed per-egid **allow-set** derived from the account database
 (invalidated via ``UserDB.generation``), falling back to the ident reply's
-group snapshot before ever dropping.  ``naive=True`` preserves the
-original sequential per-packet path as the differential-testing
-reference; both paths produce identical verdicts (property-tested
-fault-free — under faults, coalescing legitimately consumes fewer identd
-attempts than per-packet retry loops).
+group snapshot before ever dropping.  There are exactly two decision
+paths: ``decide``/``decide_batch`` is the fast path, and ``naive=True``
+preserves the original sequential per-packet path as the
+differential-testing reference.  Both produce identical verdicts
+(property-tested fault-free — under faults, coalescing legitimately
+consumes fewer identd attempts than per-packet retry loops).
 
 What a burst records: every row still ticks the decision clock once,
 passes the oracle's I2 checks at the same call sites (and so with the
@@ -78,20 +79,6 @@ nothing to :attr:`UBFDaemon.log` — that per-decision record is kept by
 ``decide`` only, since at flood rates it was the burst path's main cost
 in time and memory.  The ``ubf.decide_batch`` span and its
 ``ubf.ident_group`` children carry the burst's trace.
-
-Columnar hot path (E27): ``decide_columns`` takes a
-:class:`~repro.net.ubf_columnar.FlowBatch` — preallocated parallel int
-columns — and computes verdicts into its reusable bitmap via vectorized
-passes: root short-circuit, same-uid compare, sorted-array allow-set
-membership, and a batch probe of the flat open-addressed
-:class:`~repro.net.ubf_columnar.ColumnarVerdictCache`.  Packets are only
-consulted for rows that still need an ident exchange (same coalescing as
-``decide_batch``).  The per-object paths remain the differential
-references: the oracle's I2 shadow check re-derives every full decision,
-and E27 asserts bit-identical verdicts across naive / batch / columnar.
-Unlike ``decide_batch``, the columnar path skips the per-row audit
-records — it is the throughput plane.  Verdict counters stay exact on all
-three paths.
 """
 
 from __future__ import annotations
@@ -99,8 +86,6 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.kernel.errors import NoSuchEntity
 from repro.kernel.users import UserDB
@@ -112,15 +97,6 @@ from repro.net.ident import (
     remote_ident_query,
 )
 from repro.net.stack import Fabric, HostStack
-from repro.net.ubf_columnar import (
-    NO_ID,
-    V_ACCEPT,
-    V_DROP,
-    V_MISS,
-    ColumnarVerdictCache,
-    FlowBatch,
-    in_sorted,
-)
 
 
 class DecisionReason(enum.Enum):
@@ -201,38 +177,31 @@ class UBFDaemon:
     #: original sequential per-packet reference path for differential
     #: testing.
     naive: bool = False
-    #: decision-cache entry bound shared by both caches; None =
-    #: unbounded (the columnar cache falls back to its own default bound)
+    #: decision-cache entry bound; None = unbounded
     cache_capacity: int | None = 65_536
     #: max cached-verdict age in decision ticks; None = no expiry.  Set by
-    #: the strict zone posture (repro.net.zones), uniform across both
-    #: caches so differential verdict identity holds.
+    #: the strict zone posture (repro.net.zones) and read live by both
+    #: decision paths, so differential verdict identity holds.
     cache_ttl: int | None = None
     #: data-sensitivity posture label applied by repro.net.zones
     tier: str = "standard"
     #: per-packet ``decide`` records; bursts do not append here
     log: list[UBFDecisionLog] = field(default_factory=list)
     alive: bool = True
-    #: the per-object paths' verdict cache: key -> (verdict, tick stored),
-    #: in LRU order (see _cache_get/_cache_put)
+    #: the verdict cache: key -> (verdict, tick stored), in LRU order
+    #: (see _cache_get/_cache_put)
     _cache: OrderedDict[tuple[int, int, int], tuple[Verdict, int]] = field(
         default_factory=OrderedDict)
-    #: columnar decision cache, created lazily on the first decide_columns
-    #: call (a 4096-node sim must not pay ~2 MB of arrays per idle daemon)
-    _columnar: ColumnarVerdictCache | None = field(default=None, repr=False)
     #: initiating host -> cache keys its flows created, so a dead host's
     #: cached identity decisions can be purged without a full flush
     _keys_by_host: dict[str, set[tuple[int, int, int]]] = field(
         default_factory=dict, repr=False)
     _allow_sets: dict[int, frozenset[int]] = field(default_factory=dict,
                                                    repr=False)
-    #: sorted int64 mirrors of _allow_sets for vectorized membership
-    _allow_arrays: dict[int, np.ndarray] = field(default_factory=dict,
-                                                 repr=False)
     _allow_gen: int = field(default=-1, repr=False)
     #: logical decision clock: one tick per decided flow (cache TTL unit)
     _tick: int = field(default=0, repr=False)
-    #: account-database generation the decision caches were filled under;
+    #: account-database generation the decision cache was filled under;
     #: a mismatch at decide time flushes them (see _revalidate_generation)
     _cache_gen: int = field(default=-1, repr=False)
     _crashed_handler: object | None = field(default=None, repr=False)
@@ -241,13 +210,6 @@ class UBFDaemon:
         self.stack.firewall.bind_nfqueue(self.decide)
         self.stack.firewall.bind_nfqueue_batch(self.decide_batch)
         return self
-
-    def apply_cache_posture(self) -> None:
-        """Propagate ``cache_ttl`` to the columnar cache (the dict cache
-        reads ``cache_capacity``/``cache_ttl`` live); called by zone-tier
-        application after mutating the knobs."""
-        if self._columnar is not None:
-            self._columnar.ttl = self.cache_ttl
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -286,20 +248,19 @@ class UBFDaemon:
             len(self.stack.firewall.conntrack))
 
     def resync(self, *, reason: str) -> int:
-        """Drop every cached verdict and pin caches to the *current*
+        """Drop every cached verdict and pin the cache to the *current*
         account-database generation; returns the number purged.
 
         ``flush_cache`` alone leaves the generation markers at ``-1``,
         deferring the re-pin to the next decide's revalidation — which is
         correct only if the generation moved.  After a control-plane
         recovery the replayed database lands numerically *equal* to the
-        pre-crash generation, so an un-resynced daemon (standard,
-        and columnar caches alike) would pass the equality check
-        and keep serving pre-crash verdicts.  Recovery bumps the
-        generation past every value any daemon ever saw and then calls
-        this on each one.
+        pre-crash generation, so an un-resynced daemon would pass the
+        equality check and keep serving pre-crash verdicts.  Recovery
+        bumps the generation past every value any daemon ever saw and
+        then calls this on each one.
         """
-        purged = self._cached_entries()
+        purged = len(self._cache)
         self.flush_cache()
         gen = self.userdb.generation
         self._cache_gen = gen
@@ -384,17 +345,15 @@ class UBFDaemon:
         cross-user ACCEPT out of the decision cache for as long as the
         entry lives (indefinitely in the standard tier, which has no TTL).
         One integer compare per decide call (per burst on the batch
-        paths); on a generation change both decision caches are dropped
-        and the purge is counted under
+        path); on a generation change the decision cache is dropped and
+        the purge is counted under
         ``ubf_cache_purged_total{reason="membership-change"}``.
         """
         gen = self.userdb.generation
         if gen == self._cache_gen:
             return
-        purged = self._cached_entries()
+        purged = len(self._cache)
         self._cache.clear()
-        if self._columnar is not None:
-            self._columnar.clear()
         self._keys_by_host.clear()
         self._cache_gen = gen
         if purged:
@@ -567,7 +526,7 @@ class UBFDaemon:
     def _count_verdicts(self, counts: dict[tuple[Verdict, DecisionReason],
                                            int]) -> None:
         """Bulk-increment a burst's verdict counters, one increment per
-        closed reason (shared by ``decide_batch`` and ``decide_columns``)."""
+        closed reason."""
         metrics = self.fabric.metrics
         hits = full = drops = 0
         for (verdict, code), n in counts.items():
@@ -585,278 +544,6 @@ class UBFDaemon:
             metrics.counter("ubf_full_decisions").inc(full)
         if drops:
             metrics.counter("ubf_denials").inc(drops)
-
-    # -- columnar hot path (E27) ------------------------------------------------
-
-    def columns_from_packets(self, pkts: list[Packet],
-                             batch: FlowBatch | None = None) -> FlowBatch:
-        """Fill a :class:`FlowBatch` from packets, resolving each distinct
-        (proto, dst-port) listener exactly once.
-
-        The translation itself is per-object Python — callers on the true
-        hot path keep long-lived column arrays and skip it; this is the
-        convenience bridge (and what the benchmark uses to prepare its
-        packet pool once, outside the timed region).
-        """
-        n = len(pkts)
-        if batch is None:
-            batch = FlowBatch(max(1, n))
-        elif n > batch.capacity:
-            raise ValueError(f"batch of {n} exceeds capacity {batch.capacity}")
-        batch.reset()
-        local_ident = IdentService(self.stack)
-        listeners: dict[tuple, tuple[int, int]] = {}
-        su, lu = batch.src_uid, batch.listener_uid
-        lg, fl = batch.listener_egid, batch.flow_id
-        for i, pkt in enumerate(pkts):
-            flow = pkt.flow
-            port_key = (flow.proto, flow.dst_port)
-            ids = listeners.get(port_key)
-            if ids is None:
-                reply = local_ident.query_local(*port_key)
-                ids = (NO_ID, NO_ID) if reply is None else (reply.uid,
-                                                            reply.egid)
-                listeners[port_key] = ids
-            lu[i], lg[i] = ids
-            su[i] = NO_ID if pkt.src_uid is None else pkt.src_uid
-            fl[i] = i
-        batch.n = n
-        batch.verdict[:n] = V_MISS
-        return batch
-
-    def decide_columns(self, batch: FlowBatch,
-                       pkts: list[Packet] | None = None) -> np.ndarray:
-        """Vectorized burst decision into the batch's verdict bitmap.
-
-        Passes, in order: no-listener and root-listener short-circuits,
-        columnar cache probe (stamped rows), then — only for rows still
-        undecided — per-process ident coalescing identical to
-        ``decide_batch`` followed by vectorized rule evaluation (root
-        initiator, same-uid, sorted allow-set membership, snapshot
-        fallback).  *pkts* is required only if some rows need the ident
-        exchange; a fully cached/short-circuited batch never touches it.
-
-        Returns the decided slice of the bitmap (``V_ACCEPT``/``V_DROP``).
-        Metric counters are exact (bulk-incremented per closed reason);
-        per-row audit records are intentionally skipped.
-        """
-        n = batch.n
-        out = batch.verdict[:n]
-        if n == 0:
-            return out
-        metrics = self.fabric.metrics
-        if self.cache_enabled:
-            self._revalidate_generation()
-        if self._columnar is None:
-            self._columnar = ColumnarVerdictCache(
-                self.cache_capacity if self.cache_capacity is not None
-                else 1 << 20,
-                metrics=metrics, ttl=self.cache_ttl)
-        now = self._tick + n
-        self._tick = now
-        su = batch.src_uid[:n]
-        lu = batch.listener_uid[:n]
-        lg = batch.listener_egid[:n]
-        out.fill(V_MISS)
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.start_span("ubf.decide_columns",
-                                          host=self.stack.hostname, n=n)
-        try:
-            counts = self._decide_columns(batch, pkts, out, su, lu, lg,
-                                          now, span)
-        except Exception as exc:
-            if span is not None:
-                self.tracer.finish(span, status="error",
-                                   error=type(exc).__name__)
-            raise
-        self._count_verdicts(counts)
-        if span is not None:
-            drops = int((out == V_DROP).sum())
-            self.tracer.finish(
-                span, accepts=n - drops, drops=drops,
-                cache_hits=sum(cnt for (_, code), cnt in counts.items()
-                               if code is DecisionReason.CACHED))
-        return out
-
-    def _decide_columns(self, batch: FlowBatch, pkts, out, su, lu, lg,
-                        now: int, span) -> dict:
-        metrics = self.fabric.metrics
-        counts: dict[tuple[Verdict, DecisionReason], int] = {}
-
-        def count(verdict: Verdict, code: DecisionReason, n: int) -> None:
-            if n:
-                counts[(verdict, code)] = counts.get((verdict, code), 0) + n
-
-        # pass 1: short-circuits that need no identity at all
-        no_listener = lu < 0
-        out[no_listener] = V_ACCEPT
-        count(Verdict.ACCEPT, DecisionReason.NO_LISTENER,
-              int(no_listener.sum()))
-        root_service = lu == 0
-        out[root_service] = V_ACCEPT
-        count(Verdict.ACCEPT, DecisionReason.ROOT_SERVICE,
-              int(root_service.sum()))
-
-        # pass 2: columnar cache probe for rows with a kernel uid stamp
-        if self.cache_enabled:
-            rows = np.nonzero((out == V_MISS) & (su >= 0))[0]
-            if rows.size:
-                got = self._columnar.lookup(su[rows], lu[rows], lg[rows],
-                                            now)
-                hit = got != V_MISS
-                hrows = rows[hit]
-                if hrows.size:
-                    out[hrows] = got[hit]
-                    n_acc = int((got[hit] == V_ACCEPT).sum())
-                    count(Verdict.ACCEPT, DecisionReason.CACHED, n_acc)
-                    count(Verdict.DROP, DecisionReason.CACHED,
-                          int(hrows.size) - n_acc)
-                    if self.oracle is not None:
-                        for r in hrows:
-                            self.oracle.check_ubf_cached(
-                                self,
-                                (int(su[r]), int(lu[r]), int(lg[r])),
-                                Verdict.ACCEPT if out[r] == V_ACCEPT
-                                else Verdict.DROP)
-
-        pending = np.nonzero(out == V_MISS)[0]
-        if pending.size == 0:
-            return counts
-        if pkts is None:
-            raise ValueError("decide_columns needs pkts for rows that "
-                             "require an ident exchange")
-
-        # pass 3: coalesce the remaining rows per initiating process and
-        # run the ident exchanges (same grouping as decide_batch)
-        waiters: dict[tuple, list[int]] = {}
-        for r in pending:
-            flow = pkts[r].flow
-            waiters.setdefault((flow.src_host, flow.proto, flow.src_port),
-                               []).append(int(r))
-        coalesced = metrics.counter("ident_coalesced")
-        id_rows: list[int] = []
-        id_uid: list[int] = []
-        id_reply: list[IdentReply] = []
-        degraded_policy = "fail-open" if self.fail_open else "fail-closed"
-        degraded_bit = V_ACCEPT if self.fail_open else V_DROP
-        degraded_verdict = Verdict.ACCEPT if self.fail_open else Verdict.DROP
-        n_degraded = n_unident = n_mismatch = 0
-        for gkey, parked in waiters.items():
-            if len(parked) > 1:
-                coalesced.inc(len(parked) - 1)
-            child = None
-            if span is not None:
-                child = self.tracer.start_span(
-                    "ubf.ident_group", parent=span,
-                    src=f"{gkey[0]}:{gkey[2]}", proto=gkey[1].value,
-                    waiters=len(parked))
-            try:
-                initiator = self._remote_ident(pkts[parked[0]].flow)
-            except IdentUnavailable as exc:
-                for r in parked:
-                    out[r] = degraded_bit
-                    if self.oracle is not None:
-                        self.oracle.check_ubf_degraded(self, degraded_verdict)
-                n_degraded += len(parked)
-                metrics.counter("ubf_degraded_verdicts",
-                                policy=degraded_policy).inc(len(parked))
-                if child is not None:
-                    self.tracer.finish(child, status="degraded",
-                                       error=type(exc).__name__)
-                continue
-            if initiator is None:
-                for r in parked:
-                    out[r] = V_DROP
-                    if self.oracle is not None:
-                        self.oracle.check_ubf_conclude(
-                            self, pkts[r], self._listener_reply(lu, lg, r),
-                            None, Verdict.DROP)
-                n_unident += len(parked)
-                if child is not None:
-                    self.tracer.finish(child, status="unidentifiable",
-                                       uid=-1)
-                continue
-            for r in parked:
-                # local half of the paper's double check, same as
-                # _conclude: a reply contradicting the kernel-stamped uid
-                # is forged — treat the row as unidentifiable (DROP)
-                if su[r] != NO_ID and initiator.uid != int(su[r]):
-                    out[r] = V_DROP
-                    n_mismatch += 1
-                    if self.oracle is not None:
-                        self.oracle.check_ubf_conclude(
-                            self, pkts[r], self._listener_reply(lu, lg, r),
-                            None, Verdict.DROP)
-                    continue
-                id_rows.append(r)
-                id_uid.append(initiator.uid)
-                id_reply.append(initiator)
-            if child is not None:
-                self.tracer.finish(child, status="ok", uid=initiator.uid)
-        count(degraded_verdict, DecisionReason.DEGRADED, n_degraded)
-        count(Verdict.DROP, DecisionReason.UNIDENTIFIABLE, n_unident)
-        count(Verdict.DROP, DecisionReason.IDENT_MISMATCH, n_mismatch)
-        if n_mismatch:
-            metrics.counter("ubf_ident_mismatches").inc(n_mismatch)
-        if not id_rows:
-            return counts
-
-        # pass 4: vectorized rule over the identified rows
-        rows = np.asarray(id_rows, dtype=np.intp)
-        iu = np.asarray(id_uid, dtype=np.int64)
-        rlu = lu[rows]
-        rlg = lg[rows]
-        acc_root = iu == 0
-        acc_same = (~acc_root) & (iu == rlu)
-        grp = np.zeros(rows.size, dtype=bool)
-        undecided = np.nonzero(~(acc_root | acc_same))[0]
-        if undecided.size:
-            for egid in np.unique(rlg[undecided]):
-                members = self._egid_members_sorted(int(egid))
-                sel = undecided[rlg[undecided] == egid]
-                if members.size:
-                    grp[sel] = in_sorted(iu[sel], members)
-            # credential-snapshot fallback, same contract as _rule_indexed:
-            # no connection the naive rule accepts is ever refused
-            fallbacks = metrics.counter("ubf_allowset_fallbacks")
-            for j in undecided[~grp[undecided]]:
-                if int(rlg[j]) in id_reply[j].groups:
-                    grp[j] = True
-                    fallbacks.inc()
-        accept = acc_root | acc_same | grp
-        out[rows[accept]] = V_ACCEPT
-        out[rows[~accept]] = V_DROP
-        count(Verdict.ACCEPT, DecisionReason.ROOT_INITIATOR,
-              int(acc_root.sum()))
-        count(Verdict.ACCEPT, DecisionReason.SAME_USER, int(acc_same.sum()))
-        count(Verdict.ACCEPT, DecisionReason.GROUP_MEMBER, int(grp.sum()))
-        count(Verdict.DROP, DecisionReason.CROSS_USER, int((~accept).sum()))
-        if self.cache_enabled:
-            cache = self._columnar
-            keys_by_host = self._keys_by_host
-            for j in range(rows.size):
-                r = int(rows[j])
-                key = (int(iu[j]), int(rlu[j]), int(rlg[j]))
-                cache.insert(key[0], key[1], key[2],
-                             V_ACCEPT if accept[j] else V_DROP, now)
-                keys_by_host.setdefault(pkts[r].flow.src_host,
-                                        set()).add(key)
-        if self.oracle is not None:
-            self.oracle.check_ubf_batch(
-                self,
-                ((pkts[int(rows[j])],
-                  self._listener_reply(lu, lg, int(rows[j])),
-                  id_reply[j],
-                  Verdict.ACCEPT if accept[j] else Verdict.DROP)
-                 for j in range(rows.size)))
-        return counts
-
-    @staticmethod
-    def _listener_reply(lu: np.ndarray, lg: np.ndarray, r: int) -> IdentReply:
-        """Reconstitute a listener IdentReply from columns (oracle hooks)."""
-        return IdentReply(uid=int(lu[r]), egid=int(lg[r]),
-                          groups=frozenset((int(lg[r]),)))
 
     def _remote_ident(self, flow) -> IdentReply | None:
         """One authoritative ident exchange, with retry + backoff.
@@ -948,7 +635,6 @@ class UBFDaemon:
         database's generation moves (any membership mutation invalidates)."""
         if self._allow_gen != self.userdb.generation:
             self._allow_sets.clear()
-            self._allow_arrays.clear()
             self._allow_gen = self.userdb.generation
         members = self._allow_sets.get(egid)
         if members is None:
@@ -958,22 +644,6 @@ class UBFDaemon:
                 members = frozenset()
             self._allow_sets[egid] = members
         return members
-
-    def _egid_members_sorted(self, egid: int) -> np.ndarray:
-        """The same allow-set as a sorted int64 array, for ``in_sorted``
-        membership over whole uid columns; shares the generation
-        invalidation of :meth:`_egid_members`."""
-        if self._allow_gen != self.userdb.generation:
-            self._allow_sets.clear()
-            self._allow_arrays.clear()
-            self._allow_gen = self.userdb.generation
-        arr = self._allow_arrays.get(egid)
-        if arr is None:
-            members = self._egid_members(egid)
-            arr = np.fromiter(members, dtype=np.int64, count=len(members))
-            arr.sort()
-            self._allow_arrays[egid] = arr
-        return arr
 
     def _log(self, pkt: Packet, listener: IdentReply | None,
              verdict: Verdict, iu: int | None, reason: str,
@@ -1024,32 +694,16 @@ class UBFDaemon:
         keys = self._keys_by_host.pop(host, None)
         if not keys:
             return 0
-        purged = 0
-        for key in keys:
-            hit = self._cache.pop(key, None) is not None
-            if (self._columnar is not None
-                    and self._columnar.pop(*key) is not None):
-                hit = True
-            if hit:
-                purged += 1
+        purged = sum(self._cache.pop(key, None) is not None for key in keys)
         if purged:
             self.fabric.metrics.counter(
                 "ubf_cache_purged_total", reason="dead-host").inc(purged)
         return purged
 
-    def _cached_entries(self) -> int:
-        n = len(self._cache)
-        if self._columnar is not None:
-            n += len(self._columnar)
-        return n
-
     def flush_cache(self) -> None:
         self._cache.clear()
-        if self._columnar is not None:
-            self._columnar.clear()
         self._keys_by_host.clear()
         self._allow_sets.clear()
-        self._allow_arrays.clear()
         self._allow_gen = -1
         self._cache_gen = -1
 

@@ -18,10 +18,11 @@ same fabric.  This module models that as a per-partition **tier**:
 
 Tiers apply *per host*: :func:`apply_zone_tiers` walks the scheduler's
 partitions and pushes each partition's posture onto the UBF daemons of its
-nodes.  The posture only tightens knobs the daemon already has — every
-decision still runs the same appendix rule on every path (naive / batch /
-columnar), so differential verdict identity (oracle invariant I2) is
-unaffected by tier.
+nodes.  The posture only tightens knobs the daemon already has, and the
+daemon reads them live — every decision still runs the same appendix
+rule on both paths (the ``naive`` reference and ``decide``/
+``decide_batch``), so differential verdict identity (oracle invariant
+I2) is unaffected by tier.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ def apply_tier(daemon, tier: ZoneTier, metrics=None) -> UBFPosture:
         daemon.cache_ttl = (posture.cache_ttl
                             if daemon.cache_ttl is None
                             else min(daemon.cache_ttl, posture.cache_ttl))
-    daemon.apply_cache_posture()
     if metrics is None:
         metrics = daemon.fabric.metrics
     metrics.counter("ubf_tier_applied_total", tier=tier.value).inc()

@@ -1,37 +1,28 @@
-"""Columnar UBF data plane (E27): FlowBatch, the flat open-addressed
-verdict cache, and differential verdict identity columnar ⇄ batch ⇄ naive.
+"""UBF burst path: ``decide_batch`` against its references.
 
-The columnar path is the throughput plane; these tests pin (a) the cache
-primitives — vectorized lookup, two-generation LRU rotation with counted
-evictions, TTL expiry, purge tombstones, PYTHONHASHSEED-stable layout —
-and (b) the only property that makes the fast path shippable: bit-identical
-verdicts against both per-object reference paths, under random principal
-mixes, zone tiers, and injected identd faults.
+``decide``/``decide_batch`` is the daemon's one fast path and ``naive``
+its differential reference.  These tests pin (a) the one verdict cache
+both fast-path entry points share — LRU bound, LRU touch, TTL expiry and
+eviction counters — and (b) the property that makes the burst path
+shippable: verdicts identical to per-packet ``decide`` and to ``naive``
+under random principal mixes, uid stamps, zone tiers and injected identd
+faults, with the same counters, audit records, spans and oracle checks.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultKind
 from repro.net import ConnState, FiveTuple, Packet, Proto, Verdict
-from repro.net.ubf_columnar import (
-    V_ACCEPT,
-    V_DROP,
-    V_MISS,
-    ColumnarVerdictCache,
-    FlowBatch,
-    in_sorted,
-    to_verdicts,
-)
-from repro.net.zones import ZoneTier, apply_tier
+from repro.net.zones import POSTURES, ZoneTier, apply_tier
 from repro.obs import Tracer
 from repro.obs.audit import AuditTrail
 from repro.oracle import SeparationOracle
-from repro.sim.metrics import MetricSet
 
 from tests.net.conftest import build_fabric, proc_on
 
@@ -54,143 +45,6 @@ def pkt(src_port, dst_port, *, src_uid=None, src="c1", dst="c2"):
                   ConnState.NEW, src_uid=src_uid)
 
 
-class TestFlowBatch:
-    def test_load_and_verdict_view(self):
-        b = FlowBatch(8)
-        b.load([1001, 1002], [1001, 0], [1001, 0])
-        assert b.n == 2
-        assert list(b.verdicts()) == [V_MISS, V_MISS]
-        b.verdicts()[0] = V_ACCEPT  # a view into the bitmap
-        assert b.verdict[0] == V_ACCEPT
-
-    def test_push_and_overflow(self):
-        b = FlowBatch(2)
-        assert b.push(1, 2, 3) == 0
-        assert b.push(4, 5, 6, flow_id=9) == 1
-        assert b.flow_id[1] == 9
-        with pytest.raises(ValueError):
-            b.push(7, 8, 9)
-        with pytest.raises(ValueError):
-            b.load([1] * 3, [1] * 3, [1] * 3)
-
-    def test_reuse_resets_verdicts(self):
-        b = FlowBatch(4)
-        b.load([1, 2], [1, 2], [1, 2])
-        b.verdicts()[:] = V_ACCEPT
-        b.load([3], [3], [3])
-        assert list(b.verdicts()) == [V_MISS]
-
-
-class TestInSorted:
-    def test_membership(self):
-        members = np.asarray([3, 7, 1000], dtype=np.int64)
-        values = np.asarray([1, 3, 999, 1000, 2000], dtype=np.int64)
-        assert list(in_sorted(values, members)) == [
-            False, True, False, True, False]
-
-    def test_empty_members(self):
-        values = np.asarray([1, 2], dtype=np.int64)
-        assert not in_sorted(values, np.empty(0, dtype=np.int64)).any()
-
-
-def lookup1(cache, k0, k1, k2, now=0):
-    got = cache.lookup(np.asarray([k0], dtype=np.int64),
-                       np.asarray([k1], dtype=np.int64),
-                       np.asarray([k2], dtype=np.int64), now)
-    return int(got[0])
-
-
-class TestColumnarCache:
-    def test_hit_miss_roundtrip(self):
-        cache = ColumnarVerdictCache(64)
-        cache.insert(1007, 1003, 1003, V_ACCEPT)
-        cache.insert(1008, 1003, 1003, V_DROP)
-        assert lookup1(cache, 1007, 1003, 1003) == V_ACCEPT
-        assert lookup1(cache, 1008, 1003, 1003) == V_DROP
-        assert lookup1(cache, 1009, 1003, 1003) == V_MISS
-        assert len(cache) == 2
-
-    def test_refresh_in_place_does_not_grow(self):
-        cache = ColumnarVerdictCache(64)
-        for _ in range(5):
-            cache.insert(1, 2, 3, V_ACCEPT)
-        assert len(cache) == 1
-
-    def test_batch_lookup_vectorized(self):
-        cache = ColumnarVerdictCache(256)
-        for uid in range(100):
-            cache.insert(uid, 50, 50, V_ACCEPT if uid % 2 else V_DROP)
-        uids = np.arange(120, dtype=np.int64)
-        got = cache.lookup(uids, np.full(120, 50, dtype=np.int64),
-                           np.full(120, 50, dtype=np.int64))
-        assert (got[:100] == np.where(uids[:100] % 2, V_ACCEPT,
-                                      V_DROP)).all()
-        assert (got[100:] == V_MISS).all()
-
-    def test_lru_rotation_bounds_and_counts(self):
-        metrics = MetricSet()
-        cache = ColumnarVerdictCache(16, metrics=metrics)
-        for uid in range(100):
-            cache.insert(uid, 1, 1, V_ACCEPT)
-        # two generations of <= capacity/2 entries each
-        assert len(cache) <= 16
-        evicted = metrics.counter("ubf_cache_evictions_total",
-                                  reason="lru").value
-        assert evicted == cache.evictions > 0
-        assert evicted + len(cache) == 100
-        # oldest keys are gone, newest survive
-        assert lookup1(cache, 0, 1, 1) == V_MISS
-        assert lookup1(cache, 99, 1, 1) == V_ACCEPT
-
-    def test_recently_touched_survives_rotation(self):
-        cache = ColumnarVerdictCache(16)
-        cache.insert(999, 1, 1, V_ACCEPT)
-        for uid in range(6):
-            cache.insert(uid, 1, 1, V_ACCEPT)
-            # touching 999 every insert promotes it out of the doomed
-            # generation before each rotation
-            assert lookup1(cache, 999, 1, 1) == V_ACCEPT
-        assert lookup1(cache, 999, 1, 1) == V_ACCEPT
-
-    def test_ttl_expires_at_read(self):
-        metrics = MetricSet()
-        cache = ColumnarVerdictCache(64, metrics=metrics, ttl=10)
-        cache.insert(1, 2, 3, V_ACCEPT, now=100)
-        assert lookup1(cache, 1, 2, 3, now=105) == V_ACCEPT
-        assert lookup1(cache, 1, 2, 3, now=111) == V_MISS
-        assert metrics.counter("ubf_cache_evictions_total",
-                               reason="ttl").value == 1
-        assert len(cache) == 0
-
-    def test_pop_tombstones_and_chain_survives(self):
-        cache = ColumnarVerdictCache(64)
-        # force a probe chain: same home slot for colliding keys is not
-        # guaranteed, so just verify pop + later keys stay findable
-        for uid in range(10):
-            cache.insert(uid, 2, 3, V_ACCEPT)
-        assert cache.pop(4, 2, 3) == V_ACCEPT
-        assert cache.pop(4, 2, 3) is None
-        assert len(cache) == 9
-        for uid in (3, 5, 9):
-            assert lookup1(cache, uid, 2, 3) == V_ACCEPT
-
-    def test_layout_is_deterministic(self):
-        a, b = ColumnarVerdictCache(128), ColumnarVerdictCache(128)
-        for uid in range(60):
-            a.insert(uid, uid % 7, uid % 5, V_ACCEPT)
-            b.insert(uid, uid % 7, uid % 5, V_ACCEPT)
-        assert (a._cur.k0 == b._cur.k0).all()
-        assert (a._prev.k0 == b._prev.k0).all()
-
-    def test_flat_memory_footprint(self):
-        cache = ColumnarVerdictCache(1 << 20)
-        # 5 cells × (4×8B + 1B) ≈ 33B per slot, 2 generations of 2^20
-        # slots: well under 100 MB per million-entry bound, and reported
-        per_million = cache.nbytes
-        assert per_million < 100 * 1024 * 1024
-        assert cache.nbytes == cache._cur.nbytes + cache._prev.nbytes
-
-
 class TestNaiveCacheBound:
     def test_naive_path_evicts_lru(self, userdb):
         fabric, nodes, daemons = build_fabric(userdb, ["c1", "c2"],
@@ -209,7 +63,7 @@ class TestNaiveCacheBound:
                                       reason="lru").value == 1
 
 
-def build_columnar_scenario(userdb, *, fail_open=False, cache=True):
+def build_scenario(userdb, *, fail_open=False, cache=True):
     """Two hosts, listeners covering every rule outcome, initiators for
     each principal; returns (fabric, nodes, daemon)."""
     fabric, nodes, daemons = build_fabric(userdb, ["c1", "c2"], ubf=True,
@@ -233,11 +87,6 @@ SRC_PORTS = (40000, 40001, 40002, 40003, 49999)  # 49999: unbound port
 DST_PORTS = (5000, 5001, 5002, 5003, 6000)       # 6000: no listener
 
 
-def run_columnar(daemon, pkts):
-    batch = daemon.columns_from_packets(pkts)
-    return to_verdicts(daemon.decide_columns(batch, pkts))
-
-
 def stamped(userdb, src_port, dst_port):
     """A kernel-stamped packet from one of the scenario's initiators."""
     return pkt(src_port, dst_port,
@@ -253,7 +102,7 @@ class TestBoundedDaemonCache:
     LRU bound, LRU touch on a hit, TTL expiry, and eviction counters."""
 
     def test_lru_eviction(self, userdb):
-        fabric, nodes, daemon = build_columnar_scenario(userdb)
+        fabric, nodes, daemon = build_scenario(userdb)
         daemon.cache_capacity = 4
         first = [stamped(userdb, sp, dp) for sp in (40000, 40001)
                  for dp in (5000, 5001, 5003)]
@@ -268,7 +117,7 @@ class TestBoundedDaemonCache:
         assert hits(fabric) == 1
 
     def test_get_is_an_lru_touch(self, userdb):
-        fabric, nodes, daemon = build_columnar_scenario(userdb)
+        fabric, nodes, daemon = build_scenario(userdb)
         daemon.cache_capacity = 2
         a, b, c = (stamped(userdb, 40000, dp) for dp in (5000, 5001, 5003))
         daemon.decide(a)
@@ -282,7 +131,7 @@ class TestBoundedDaemonCache:
         assert hits(fabric) == 2
 
     def test_ttl_expiry(self, userdb):
-        fabric, nodes, daemon = build_columnar_scenario(userdb)
+        fabric, nodes, daemon = build_scenario(userdb)
         daemon.cache_ttl = 10
         alice = stamped(userdb, 40000, 5000)
         daemon.decide(alice)                      # stored at tick 1
@@ -296,7 +145,7 @@ class TestBoundedDaemonCache:
                                       reason="ttl").value == 1
 
     def test_unbounded_when_capacity_is_none(self, userdb):
-        fabric, nodes, daemon = build_columnar_scenario(userdb)
+        fabric, nodes, daemon = build_scenario(userdb)
         daemon.cache_capacity = None
         daemon.decide_batch([stamped(userdb, sp, dp)
                              for sp in (40000, 40001, 40002, 40003)
@@ -306,88 +155,99 @@ class TestBoundedDaemonCache:
                        for k in fabric.metrics.report())
 
     def test_batch_and_decide_share_one_cache(self, userdb):
-        fabric, nodes, daemon = build_columnar_scenario(userdb)
+        fabric, nodes, daemon = build_scenario(userdb)
         alice = stamped(userdb, 40000, 5000)
         daemon.decide_batch([alice])
         assert daemon.decide(alice) is Verdict.ACCEPT
         assert hits(fabric) == 1
 
 
-class TestColumnarMatchesReferences:
+def decide_each(daemon, pkts):
+    """The per-packet fast path: one ``decide`` per packet, in order."""
+    return [daemon.decide(p) for p in pkts]
+
+
+#: one nfqueue drain of the burst path
+BURST = 256
+
+
+class TestBatchMatchesReferences:
     def test_rule_matrix_identical_across_paths(self, userdb):
         """Every (initiator, listener) combination, decided three ways."""
         pkts = [pkt(sp, dp) for sp in SRC_PORTS for dp in DST_PORTS]
 
         def run(mode):
-            fabric, nodes, daemon = build_columnar_scenario(userdb)
+            fabric, nodes, daemon = build_scenario(userdb)
             if mode == "naive":
                 daemon.naive = True
-                return daemon.decide_batch(list(pkts))
-            if mode == "batch":
-                return daemon.decide_batch(list(pkts))
-            return run_columnar(daemon, list(pkts))
+            if mode == "decide":
+                return decide_each(daemon, list(pkts))
+            return daemon.decide_batch(list(pkts))
 
         naive = run("naive")
+        assert run("decide") == naive
         assert run("batch") == naive
-        assert run("columnar") == naive
 
     def test_cached_second_round_identical_and_rtt_free(self, userdb):
         stamped = [pkt(40000 + i, 5000, src_uid=userdb.user(u).uid)
                    for i, u in enumerate(("alice", "bob", "dave"))]
-        fabric, nodes, daemon = build_columnar_scenario(userdb)
-        first = run_columnar(daemon, stamped)
+        fabric, nodes, daemon = build_scenario(userdb)
+        first = daemon.decide_batch(stamped)
         rtt_before = fabric.metrics.report()["ident_round_trips"]
-        second = run_columnar(daemon, stamped)
+        second = daemon.decide_batch(stamped)
         assert second == first
         rep = fabric.metrics.report()
         assert rep["ident_round_trips"] == rtt_before  # all cache hits
         assert rep["ubf_cache_hits"] == 3
 
-    def test_degraded_group_matches_batch_policy(self, userdb):
+    def test_degraded_group_matches_naive_policy(self, userdb):
         for fail_open in (False, True):
             verdicts = {}
-            for mode in ("batch", "columnar"):
-                fabric, nodes, daemon = build_columnar_scenario(
+            for mode in ("naive", "batch"):
+                fabric, nodes, daemon = build_scenario(
                     userdb, fail_open=fail_open)
+                daemon.naive = mode == "naive"
                 fabric.faults.inject(FaultKind.IDENTD_UNRESPONSIVE, "c1")
-                pkts = [pkt(40000, 5000), pkt(40001, 5000)]
-                if mode == "batch":
-                    verdicts[mode] = daemon.decide_batch(pkts)
-                else:
-                    verdicts[mode] = run_columnar(daemon, pkts)
-            assert verdicts["columnar"] == verdicts["batch"]
+                verdicts[mode] = daemon.decide_batch(
+                    [pkt(40000, 5000), pkt(40001, 5000)])
+            assert verdicts["batch"] == verdicts["naive"]
             expected = Verdict.ACCEPT if fail_open else Verdict.DROP
-            assert verdicts["columnar"] == [expected, expected]
+            assert verdicts["batch"] == [expected, expected]
 
-    def test_degraded_columnar_verdicts_never_cached(self, userdb):
-        fabric, nodes, daemon = build_columnar_scenario(userdb)
+    def test_degraded_batch_verdicts_never_cached(self, userdb):
+        fabric, nodes, daemon = build_scenario(userdb)
         fault = fabric.faults.inject(FaultKind.IDENTD_UNRESPONSIVE, "c1")
-        assert run_columnar(daemon, [pkt(40000, 5000)]) == [Verdict.DROP]
-        assert len(daemon._columnar) == 0
+        alice = stamped(userdb, 40000, 5000)
+        assert daemon.decide_batch([alice]) == [Verdict.DROP]
+        assert len(daemon._cache) == 0
         fabric.faults.clear(fault)
-        assert run_columnar(daemon, [pkt(40000, 5000)]) == [Verdict.ACCEPT]
-
-    def test_columnar_needs_pkts_only_for_ident_rows(self, userdb):
-        fabric, nodes, daemon = build_columnar_scenario(userdb)
-        pkts = [pkt(40000, 5000, src_uid=userdb.user("alice").uid)]
-        run_columnar(daemon, pkts)  # warm the cache
-        batch = daemon.columns_from_packets(pkts)
-        # fully cached burst: no packets needed at all
-        got = daemon.decide_columns(batch)
-        assert to_verdicts(got) == [Verdict.ACCEPT]
-        cold = daemon.columns_from_packets([pkt(40001, 5000)])
-        with pytest.raises(ValueError):
-            daemon.decide_columns(cold)
+        assert daemon.decide_batch([alice]) == [Verdict.ACCEPT]
+        assert len(daemon._cache) == 1
 
     def test_strict_tier_changes_posture_not_verdicts(self, userdb):
-        pkts = [pkt(sp, dp) for sp in SRC_PORTS[:4] for dp in DST_PORTS]
+        """The STRICT posture (fail-closed, TTL'd cache) changes *when*
+        a burst stream's decisions are recomputed, never *what* they are
+        (fault-free)."""
+        rng = random.Random(99)
+        stream = [[stamped(userdb, rng.choice(SRC_PORTS[:4]),
+                           rng.choice(DST_PORTS)) for _ in range(BURST)]
+                  for _ in range(24)]
+        ttl = POSTURES[ZoneTier.STRICT].cache_ttl
+        assert 24 * BURST > ttl  # cached entries outlive the TTL
 
         def run(tier):
-            fabric, nodes, daemon = build_columnar_scenario(userdb)
+            fabric, nodes, daemon = build_scenario(userdb, fail_open=True)
             apply_tier(daemon, tier)
-            return run_columnar(daemon, list(pkts))
+            verdicts = [daemon.decide_batch(b) for b in stream]
+            return verdicts, daemon, fabric.metrics.counter(
+                "ubf_cache_evictions_total", reason="ttl").value
 
-        assert run(ZoneTier.STRICT) == run(ZoneTier.STANDARD)
+        standard, _, standard_ttl = run(ZoneTier.STANDARD)
+        strict, daemon, strict_ttl = run(ZoneTier.STRICT)
+        assert strict == standard
+        assert daemon.cache_ttl == ttl and daemon.fail_open is False
+        assert standard_ttl == 0
+        assert strict_ttl > 0
 
 
 @st.composite
@@ -418,14 +278,15 @@ def make_userdb():
     return db
 
 
-class TestColumnarProperty:
+class TestBatchProperty:
     @settings(max_examples=30, deadline=None)
     @given(rows=burst(), faulty=st.booleans(), fail_open=st.booleans(),
            strict=st.booleans())
     def test_three_paths_agree_under_random_mixes(self, rows, faulty,
                                                   fail_open, strict):
-        """Columnar ⇄ decide_batch ⇄ naive verdict identity under random
-        principal/port mixes, uid stamps, zone tiers, and identd faults."""
+        """Per-packet decide ⇄ decide_batch ⇄ naive verdict identity under
+        random principal/port mixes, uid stamps, zone tiers, and identd
+        faults."""
         def make_pkts(db):
             out = []
             for sp, dp, stamp in rows:
@@ -437,7 +298,7 @@ class TestColumnarProperty:
 
         def run(mode):
             db = make_userdb()
-            fabric, nodes, daemon = build_columnar_scenario(
+            fabric, nodes, daemon = build_scenario(
                 db, fail_open=fail_open)
             if strict:
                 apply_tier(daemon, ZoneTier.STRICT)
@@ -445,26 +306,20 @@ class TestColumnarProperty:
                 fabric.faults.inject(FaultKind.IDENTD_UNRESPONSIVE, "c1")
             pkts = make_pkts(db)
             mid = len(pkts) // 2
-            if mode == "naive":
-                daemon.naive = True
-                return (daemon.decide_batch(pkts[:mid])
-                        + daemon.decide_batch(pkts[mid:]))
-            if mode == "batch":
-                return (daemon.decide_batch(pkts[:mid])
-                        + daemon.decide_batch(pkts[mid:]))
-            return (run_columnar(daemon, pkts[:mid])
-                    + run_columnar(daemon, pkts[mid:]))
+            if mode == "decide":
+                return decide_each(daemon, pkts)
+            daemon.naive = mode == "naive"
+            return (daemon.decide_batch(pkts[:mid])
+                    + daemon.decide_batch(pkts[mid:]))
 
         naive = run("naive")
-        batch = run("batch")
-        columnar = run("columnar")
-        assert batch == naive
-        assert columnar == naive
+        assert run("decide") == naive
+        assert run("batch") == naive
 
 
 class TestBatchTracing:
     def test_decide_batch_emits_batch_and_group_spans(self, userdb):
-        fabric, nodes, daemon = build_columnar_scenario(userdb)
+        fabric, nodes, daemon = build_scenario(userdb)
         daemon.tracer = tracer = Tracer()
         daemon.decide_batch([pkt(40000, 5000), pkt(40000, 5001),
                              pkt(40001, 5000)])
@@ -478,18 +333,8 @@ class TestBatchTracing:
         assert {g.tags["src"] for g in groups} == {"c1:40000", "c1:40001"}
         assert all(g.finished for g in groups) and parent.finished
 
-    def test_decide_columns_emits_spans(self, userdb):
-        fabric, nodes, daemon = build_columnar_scenario(userdb)
-        daemon.tracer = tracer = Tracer()
-        run_columnar(daemon, [pkt(40000, 5000), pkt(40001, 5000)])
-        parent = tracer.by_name("ubf.decide_columns")[0]
-        assert parent.tags["accepts"] == 1 and parent.tags["drops"] == 1
-        groups = tracer.by_name("ubf.ident_group")
-        assert len(groups) == 2
-        assert all(g.parent_id == parent.span_id for g in groups)
-
     def test_degraded_group_span_is_annotated(self, userdb):
-        fabric, nodes, daemon = build_columnar_scenario(userdb)
+        fabric, nodes, daemon = build_scenario(userdb)
         daemon.tracer = tracer = Tracer()
         fabric.faults.inject(FaultKind.IDENTD_UNRESPONSIVE, "c1")
         daemon.decide_batch([pkt(40000, 5000)])
@@ -499,7 +344,7 @@ class TestBatchTracing:
 
 class TestFirewallBatchWiring:
     def test_evaluate_batch_reaches_daemon_once(self, userdb):
-        fabric, nodes, daemon = build_columnar_scenario(userdb)
+        fabric, nodes, daemon = build_scenario(userdb)
         fw = daemon.stack.firewall
         pkts = [pkt(40000, 5000), pkt(40000, 5001), pkt(40001, 5003)]
         verdicts = fw.evaluate_batch(pkts)
@@ -511,7 +356,7 @@ class TestFirewallBatchWiring:
         assert fabric.metrics.report()["conntrack_fastpath_packets"] == 2
 
     def test_crash_detaches_batch_handler(self, userdb):
-        fabric, nodes, daemon = build_columnar_scenario(userdb)
+        fabric, nodes, daemon = build_scenario(userdb)
         fw = daemon.stack.firewall
         daemon.crash()
         assert fw.evaluate_batch([pkt(40000, 5000)]) == [Verdict.DROP]
@@ -541,7 +386,7 @@ class TestBatchMatchesDecide:
     an entry an earlier packet of the same burst created)."""
 
     def _run(self, db, rounds, mode):
-        fabric, nodes, daemon = build_columnar_scenario(db)
+        fabric, nodes, daemon = build_scenario(db)
         daemon.audit = AuditTrail()
         daemon.oracle = oracle = SeparationOracle(sampling_rate=1.0,
                                                   fail_fast=True)
@@ -581,13 +426,42 @@ class TestBatchMatchesDecide:
         pkts = [pkt(sp, dp) for sp in (40000, 40001) for dp in DST_PORTS]
         results = []
         for mode in ("decide", "batch"):
-            fabric, nodes, daemon = build_columnar_scenario(userdb)
+            fabric, nodes, daemon = build_scenario(userdb)
             fabric.faults.inject(FaultKind.IDENTD_UNRESPONSIVE, "c1")
             got = (daemon.decide_batch(pkts) if mode == "batch"
                    else [daemon.decide(p) for p in pkts])
             results.append((got, verdict_counters(fabric)))
         assert results[0] == results[1]
         assert len(daemon.log) == 0  # the batch run logged nothing
+
+
+class TestBurstOracle:
+    def test_full_sampling_oracle_over_burst_stream(self, userdb):
+        """A few thousand ``decide_batch`` decisions under a full-sampling
+        fail-fast oracle — stamped and unstamped rows, unidentifiable
+        initiators, and a group revocation mid-stream: every full
+        decision is re-derived against the appendix rule and every cache
+        hit revalidated (I2), with zero violations."""
+        fabric, nodes, daemon = build_scenario(userdb)
+        daemon.oracle = oracle = SeparationOracle(sampling_rate=1.0,
+                                                  fail_fast=True)
+        rng = random.Random(777)
+        decided = 0
+        for i in range(16):
+            if i == 8:
+                userdb.remove_from_project("fusion", userdb.user("dave"),
+                                           approver=userdb.user("carol"))
+            rows = [(rng.choice(SRC_PORTS), rng.choice(DST_PORTS))
+                    for _ in range(BURST)]
+            decided += len(daemon.decide_batch([
+                pkt(sp, dp, src_uid=userdb.user(PORT_UID[sp]).uid
+                    if sp in PORT_UID and rng.random() < 0.5 else None)
+                for sp, dp in rows]))
+        oracle.assert_clean()
+        assert decided == 16 * BURST
+        assert oracle.checks_for("I2") > 0
+        rep = fabric.metrics.report()
+        assert rep["ubf_cache_hits"] > 0 and rep["ubf_full_decisions"] > 0
 
 
 def flow_counters(fabric) -> dict:
@@ -608,7 +482,7 @@ class TestEvaluateBatchCounters:
                 pkt(40003, 5000), pkt(40001, 6000)]
 
     def test_totals_cover_every_packet(self, userdb):
-        fabric, nodes, daemon = build_columnar_scenario(userdb)
+        fabric, nodes, daemon = build_scenario(userdb)
         fw = daemon.stack.firewall
         burst_pkts = self._burst(fw)
         before = flow_counters(fabric)
@@ -625,7 +499,7 @@ class TestEvaluateBatchCounters:
     def test_matches_evaluate_per_packet(self, userdb):
         runs = []
         for mode in ("evaluate", "batch"):
-            fabric, nodes, daemon = build_columnar_scenario(userdb)
+            fabric, nodes, daemon = build_scenario(userdb)
             fw = daemon.stack.firewall
             burst_pkts = self._burst(fw)
             got = (fw.evaluate_batch(burst_pkts) if mode == "batch"
@@ -636,7 +510,7 @@ class TestEvaluateBatchCounters:
     def test_fail_closed_without_daemon_counts_like_evaluate(self, userdb):
         runs = []
         for mode in ("evaluate", "batch"):
-            fabric, nodes, daemon = build_columnar_scenario(userdb)
+            fabric, nodes, daemon = build_scenario(userdb)
             fw = daemon.stack.firewall
             burst_pkts = self._burst(fw)
             fw.unbind_nfqueue()

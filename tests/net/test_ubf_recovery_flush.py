@@ -1,13 +1,12 @@
-"""Regression: UBF verdict caches must honor the recovery generation bump.
+"""Regression: the UBF verdict cache must honor the recovery generation bump.
 
 Journal replay rebuilds ``UserDB.generation`` numerically *equal* to its
 pre-crash value, and ``_revalidate_generation`` early-returns on equality
 — so without the recovery bump + :meth:`UBFDaemon.resync`, every verdict
 cached before the control-plane crash would read as current afterwards.
 Same family as the membership-flush tests in ``test_ubf_hardening.py``,
-but through the crash/recover path: the scalar cache, the columnar cache,
-and the ``restart()`` re-sync path must all land on the bumped
-generation.
+but through the crash/recover path: the verdict cache and the
+``restart()`` re-sync path must both land on the bumped generation.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ import pytest
 
 from repro import LLSC, Cluster
 from repro.kernel.errors import TimedOut
-from repro.net import ConnState, FiveTuple, Packet, Proto
-from repro.net.ubf_columnar import V_DROP
 from repro.persist import attach_persistence
 
 
@@ -38,11 +35,6 @@ def fusion_service(cluster, port=7000):
     shell.process.creds = shell.process.creds.with_egid(fusion)
     shell.node.net.listen(shell.node.net.bind(shell.process, port))
     return shell.node.name
-
-
-def pkt(src, src_port, dst, dst_port, *, src_uid):
-    return Packet(FiveTuple(Proto.TCP, src, src_port, dst, dst_port),
-                  ConnState.NEW, src_uid=src_uid)
 
 
 def crash_recover(cluster):
@@ -92,30 +84,6 @@ class TestRecoveryFlush:
         crash_recover(cluster)
         dave2 = cluster.login("dave")
         assert dave2.socket().connect(host, 7000).open
-
-    def test_columnar_cache_honors_the_bump(self):
-        cluster = build_cluster()
-        host = fusion_service(cluster)
-        daemon = cluster.ubf_daemons[host]
-        dave = cluster.login("dave")
-        src = dave.node.name
-        dave.node.net.bind(dave.process, 40001)
-        pkts = [pkt(src, 40001, host, 7000,
-                    src_uid=dave.process.creds.uid)]
-        batch = daemon.columns_from_packets(pkts)
-        assert list(daemon.decide_columns(batch, pkts)) != [V_DROP]
-        assert len(daemon._columnar) >= 1
-        db = cluster.userdb
-        db.remove_from_project("fusion", db.user("dave"),
-                               approver=db.user("carol"))
-        crash_recover(cluster)
-        assert len(daemon._columnar) == 0
-        dave2 = cluster.login("dave")
-        dave2.node.net.bind(dave2.process, 40002)
-        pkts2 = [pkt(dave2.node.name, 40002, host, 7000,
-                     src_uid=dave2.process.creds.uid)]
-        batch2 = daemon.columns_from_packets(pkts2)
-        assert list(daemon.decide_columns(batch2, pkts2)) == [V_DROP]
 
 
 class TestRestartResync:
