@@ -17,7 +17,8 @@ implementations kept for differential testing:
   index vs the whole-table filter.
 
 Differential guarantees asserted on every run: identical placements and
-start times for the scheduler sweep point, identical UBF verdict
+start times for the scheduler sweep point (under SHARED, and on a
+workload prefix under LLSC's WHOLE_NODE_USER), identical UBF verdict
 sequences, identical procfs views.
 
 Results land in ``benchmarks/results/e24_scale.json`` (the CI artifact;
@@ -66,6 +67,11 @@ MIN_SPEEDUP = 5.0
 #: caps chosen so the naive side still reaches a formed queue (speedups
 #: are therefore lower bounds — naive keeps degrading past the cap).
 NAIVE_CAPS = {64: 10_000, 256: 10_000, 1024: 12_000, 4096: 6_000}
+#: workload prefix of the whole-node-per-user placement-identity check at
+#: the differential point: the queue grows without bound under LLSC's
+#: policy at this load, so the naive rescan gets slow fast, and a few
+#: thousand events already exercise hundreds of per-uid wakeups
+WNU_IDENTITY_EVENTS = 5_000
 
 CORES = 8
 
@@ -110,7 +116,8 @@ def _workload(n_nodes: int, n_events: int):
 
 def run_sched_trial(n_nodes: int, n_events: int, *, naive: bool,
                     collect_placements: bool = False, oracle=None,
-                    attribution=None):
+                    attribution=None,
+                    policy: NodeSharing = NodeSharing.SHARED):
     userdb = UserDB()
     users = [userdb.add_user(f"user{i}") for i in range(8)]
     engine = Engine()
@@ -124,8 +131,7 @@ def run_sched_trial(n_nodes: int, n_events: int, *, naive: bool,
     # prefix, which is exactly where the naive whole-partition rescan
     # degenerates and the free-capacity buckets shine
     sched = Scheduler(engine, cnodes,
-                      SchedulerConfig(policy=NodeSharing.SHARED,
-                                      naive=naive))
+                      SchedulerConfig(policy=policy, naive=naive))
     sched.oracle = oracle
     if attribution is not None:
         # E26 measures the forensic plane's cost on this exact trial:
@@ -190,6 +196,15 @@ def sched_point(n_nodes: int, n_events: int, *, differential: bool):
         assert ref["placements"] == naive.pop("placements"), \
             "indexed dispatch diverged from naive placements"
         indexed.pop("placements", None)
+        # LLSC's whole-node-per-user policy: per-uid wakeups and
+        # looked-up passes, which SHARED never takes
+        wnu = [run_sched_trial(n_nodes, WNU_IDENTITY_EVENTS, naive=side,
+                               collect_placements=True,
+                               policy=NodeSharing.WHOLE_NODE_USER)
+               for side in (False, True)]
+        assert wnu[0]["placements"] == wnu[1]["placements"], \
+            "indexed dispatch diverged from naive placements " \
+            "under WHOLE_NODE_USER"
     naive["event_cap"] = cap
     if cap < n_events:
         print(f"  [naive capped at {cap} of {n_events} events — "

@@ -227,12 +227,13 @@ def crash_control_plane(cluster) -> str:
 
     from repro.sim.metrics import TimeWeighted
     sched.jobs = {}
-    sched._queue = []
+    sched._reset_queue(())
     sched._running = {}
     sched._core_charge = {}
     sched._job_spans = {}
     sched._fresh_jobs = set()
     sched._dirty_parts = set()
+    sched._dirty_uids = set()
     sched._next_jid = 1
     sched._busy_cores = TimeWeighted()
     sched._useful_cores = TimeWeighted()
@@ -288,9 +289,11 @@ def recover_cluster(cluster) -> RecoveryReport:
     for rec in suffix:
         _replay(cluster, rec)
 
-    # A snapshot can land mid-dispatch-pass, when a just-started job is
-    # still sitting in the queue list (the pass purges once, at its end).
-    sched._queue = [j for j in sched._queue if j.state is JobState.PENDING]
+    # Replay kept only the queue index current (O(1) membership per
+    # record); lay the queue list out again in enqueue (FIFO) order.
+    seq = sched._enq_seq
+    sched._reset_queue(sorted((sched.jobs[jid] for jid in seq),
+                              key=lambda j: seq[j.job_id]))
 
     # Rebuild the free-capacity index from the *live* node state (the
     # PartitionIndex constructor reads every node), and clear the dispatch
@@ -299,6 +302,7 @@ def recover_cluster(cluster) -> RecoveryReport:
     sched._pindex = {p.name: PartitionIndex(p, sched.nodes)
                      for p in sched.partitions.values()}
     sched._dirty_parts.clear()
+    sched._dirty_uids.clear()
     sched._fresh_jobs.clear()
     sched.crashed = False
     sched._note_queue_depth()
@@ -371,7 +375,7 @@ def _rearm_timers(cluster, now: float) -> None:
     """
     sched = cluster.scheduler
     engine = cluster.engine
-    queued = {j.job_id for j in sched._queue}
+    queued = sched._enq_seq
     for job in sched.jobs.values():
         if job.state is JobState.PENDING and job.job_id not in queued:
             sched._arm_arrival(job, max(now, job.submit_time))
@@ -432,15 +436,14 @@ def _rp_submit(cluster, rec):
 def _rp_arrive(cluster, rec):
     sched = cluster.scheduler
     job = sched.jobs[rec["job_id"]]
-    if job.state is JobState.PENDING and job not in sched._queue:
-        sched._queue.append(job)
+    if job.state is JobState.PENDING and job.job_id not in sched._enq_seq:
+        sched._enqueue(job)
 
 
 def _rp_cancel(cluster, rec):
     sched = cluster.scheduler
     job = sched.jobs[rec["job_id"]]
-    if job in sched._queue:
-        sched._queue.remove(job)
+    sched._dequeue(job)
     job.state = JobState.CANCELLED
     job.end_time = rec["t"]
 
@@ -452,8 +455,7 @@ def _rp_dispatch(cluster, rec):
     job.start_time = rec["t"]
     job.allocations = [link_allocation(sched.nodes, job.job_id, row)
                        for row in rec["rows"]]
-    if job in sched._queue:
-        sched._queue.remove(job)
+    sched._dequeue(job)
     sched._running[job.job_id] = job
     sched._core_charge[job.job_id] = (rec["charged"], rec["useful"])
     sched._busy_cores.add(rec["t"], rec["charged"])
@@ -484,8 +486,8 @@ def _rp_requeue(cluster, rec):
     job.end_time = None
     job.allocations = []
     job.reason = "requeued after node failure"
-    if job not in sched._queue:
-        sched._queue.append(job)
+    if job.job_id not in sched._enq_seq:
+        sched._enqueue(job)
 
 
 def _rp_noop(cluster, rec):

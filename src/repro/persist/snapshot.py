@@ -257,7 +257,7 @@ def link_allocation(nodes, job_id: int, row: list) -> Allocation:
 def _restore_scheduler(sched, userdb, data: dict) -> None:
     sched.jobs = {row["id"]: _restore_job(row, userdb, sched.nodes)
                   for row in data["jobs"]}
-    sched._queue = [sched.jobs[jid] for jid in data["queue"]]
+    sched._reset_queue(sched.jobs[jid] for jid in data["queue"])
     sched._running = {jid: sched.jobs[jid] for jid in data["running"]}
     sched._next_jid = data["next_job_id"]
     sched._core_charge = {jid: (c, u)

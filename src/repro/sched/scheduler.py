@@ -21,10 +21,15 @@ DESIGN.md.
 Two dispatch implementations coexist (DESIGN.md "Performance architecture"):
 
 * the **indexed** default — a per-partition free-capacity index
-  (:mod:`repro.sched.dispatch_index`) supplies first-fit candidates,
-  dispatch passes run only when a partition got resources back or a job
-  arrived (event-driven wakeups via dirty-partition marks), and
-  running/pending sets are maintained incrementally;
+  (:mod:`repro.sched.dispatch_index`) supplies first-fit candidates, and
+  dispatch passes run only when something could have become placeable:
+  a job arrived or was requeued, a partition got resources back (dirty),
+  or — under WHOLE_NODE_USER, where a node its owner still holds accepts
+  only that owner's jobs — a finish woke one ``(partition, uid)``.  A
+  pass without a dirty partition looks its jobs up in a pending-queue
+  index (per-uid lists plus enqueue sequence numbers, i.e. FIFO order)
+  instead of walking the queue; running/pending sets are maintained
+  incrementally;
 * the **naive reference** (``SchedulerConfig(naive=True)``) — the original
   full pending x nodes rescan on every event, kept verbatim for
   differential testing: both paths must produce byte-identical placements
@@ -149,8 +154,19 @@ class Scheduler:
                 self._node_parts.setdefault(name, []).append(p.name)
         #: partitions where resources were freed since the last dispatch
         self._dirty_parts: set[str] = set()
+        #: (partition, uid) pairs woken by a free only that uid can use
+        #: (a whole-node-per-user node still held by that uid)
+        self._dirty_uids: set[tuple[str, int]] = set()
         #: jobs that arrived/requeued since their partition was last scanned
         self._fresh_jobs: set[int] = set()
+        # -- pending-queue index, kept at every enqueue (_arrive, _requeue)
+        # and dequeue (_start, cancel); _reset_queue rebuilds it
+        #: queued job id -> enqueue sequence number: O(1) membership, and
+        #: sorting by it is the queue's FIFO order
+        self._enq_seq: dict[int, int] = {}
+        #: (partition, uid) -> that user's queued jobs in that partition
+        self._queued_by_uid: dict[tuple[str, int], dict[int, Job]] = {}
+        self._next_enq = 0
         self._scan_counter = self.metrics.counter("sched_dispatch_scan")
 
     # -- submission -----------------------------------------------------------
@@ -235,11 +251,47 @@ class Scheduler:
                 self.tracer.finish(span, state=state.name.lower())
         self.tracer.finish(spans["root"], state=state.name.lower())
 
+    def _enqueue(self, job: Job) -> None:
+        """Append *job* to the queue tail, index it, and mark it fresh."""
+        jid = job.job_id
+        self._queue.append(job)
+        self._enq_seq[jid] = self._next_enq
+        self._next_enq += 1
+        self._queued_by_uid.setdefault(
+            (job.spec.partition, job.uid), {})[jid] = job
+        self._fresh_jobs.add(jid)
+
+    def _dequeue(self, job: Job) -> bool:
+        """Drop *job* from the queue index; False if it was not queued.
+        The queue list itself is purged by the caller."""
+        if self._enq_seq.pop(job.job_id, None) is None:
+            return False
+        key = (job.spec.partition, job.uid)
+        queued = self._queued_by_uid[key]
+        del queued[job.job_id]
+        if not queued:
+            del self._queued_by_uid[key]
+        return True
+
+    def _reset_queue(self, jobs: Iterable[Job]) -> None:
+        """Replace the queue with the still-pending *jobs*, in the given
+        order, rebuilding the queue index.  Recovery and snapshot restore
+        reassign the queue wholesale this way (a snapshot can land
+        mid-pass, while a just-started job still sits in the queue list);
+        recovery then clears the fresh marks with the other dispatch
+        memos."""
+        self._queue = []
+        self._enq_seq = {}
+        self._queued_by_uid = {}
+        self._next_enq = 0
+        for job in jobs:
+            if job.state is JobState.PENDING:
+                self._enqueue(job)
+
     def _arrive(self, job: Job) -> None:
         if job.state is not JobState.PENDING:
             return  # cancelled before its arrival event fired
-        self._queue.append(job)
-        self._fresh_jobs.add(job.job_id)
+        self._enqueue(job)
         self.metrics.counter("jobs_submitted").inc()
         if self.tracer is not None:
             self._open_job_trace(job)
@@ -253,8 +305,8 @@ class Scheduler:
         if not by.is_root and by.uid != job.uid:
             raise PermissionError_(f"{by.name} may not cancel job {job.job_id}")
         if job.state is JobState.PENDING:
-            if job in self._queue:
-                self._queue.remove(job)
+            if self._dequeue(job):
+                self._queue = [j for j in self._queue if j is not job]
             pending_arrival = self._arrival_events.pop(job.job_id, None)
             if pending_arrival is not None:
                 self.engine.cancel(pending_arrival)
@@ -345,16 +397,28 @@ class Scheduler:
         return any(not n.failed and n.free_cores > 0 and n.free_mem_mb > 0
                    for n in self.nodes.values())
 
-    def _node_changed(self, node: ComputeNode, *, freed: bool) -> None:
-        """Re-index one node; a *freed* change wakes its partitions up.
+    def _node_changed(self, node: ComputeNode, *, freed: bool,
+                      resumed: bool = False) -> None:
+        """Re-index one node; a *freed* change wakes the jobs it can help.
 
         Allocations only consume resources — they can never make a
         previously unplaceable job placeable — so only frees (job finish,
-        node resume) mark partitions dirty for the event-driven dispatch.
+        node resume) wake the event-driven dispatch.  Under
+        WHOLE_NODE_USER a finish that leaves the node held by one uid can
+        only help that uid's jobs, so it wakes just ``(partition, uid)``;
+        every other free (the node goes idle, mixed occupants, SHARED or
+        EXCLUSIVE partitions, a resume) marks the whole partition dirty.
         """
+        sole = node.sole_uid if freed and not resumed else None
         for pname in self._node_parts.get(node.name, ()):
             self._pindex[pname].update(node)
-            if freed:
+            if not freed:
+                continue
+            if sole is not None and (
+                    self.partitions[pname].policy_override
+                    or self.config.policy) is NodeSharing.WHOLE_NODE_USER:
+                self._dirty_uids.add((pname, sole))
+            else:
                 self._dirty_parts.add(pname)
 
     def _try_dispatch(self) -> None:
@@ -371,6 +435,7 @@ class Scheduler:
         suffices: placements only consume resources, so a job that was
         unplaceable earlier in the pass stays unplaceable."""
         self._dirty_parts.clear()
+        self._dirty_uids.clear()
         self._fresh_jobs.clear()
         if not self._any_node_open():
             return
@@ -398,31 +463,56 @@ class Scheduler:
 
     def _dispatch_indexed(self) -> None:
         """Event-driven dispatch: a pass runs only when a partition got
-        resources back (dirty) or a job arrived/requeued (fresh); within a
-        pass, a pending job is only examined if its partition is dirty or
-        the job is fresh — anything else was unplaceable at its last scan
-        and nothing has freed since, so it still is."""
-        while self._dirty_parts or self._fresh_jobs:
+        resources back (dirty), a whole-node-per-user free woke one uid in
+        a partition, or a job arrived/requeued (fresh).  Within a pass a
+        pending job is only examined if it is fresh, its partition is
+        dirty, or its uid was woken in its partition — anything else was
+        unplaceable at its last scan and nothing that could help it has
+        freed since, so it still is."""
+        while self._dirty_parts or self._fresh_jobs or self._dirty_uids:
             dirty, self._dirty_parts = self._dirty_parts, set()
             fresh, self._fresh_jobs = self._fresh_jobs, set()
-            self._dispatch_pass(dirty, fresh)
+            woken, self._dirty_uids = self._dirty_uids, set()
+            self._dispatch_pass(dirty, fresh, woken)
 
-    def _dispatch_pass(self, dirty: set[str], fresh: set[int]) -> None:
+    def _dispatch_pass(self, dirty: set[str], fresh: set[int],
+                       woken: set[tuple[str, int]]) -> None:
+        """One FIFO pass over the jobs a change may have made placeable.
+
+        With a dirty partition (or backfill off) the pass walks the whole
+        queue.  Otherwise — arrivals, requeues and uid-only wakeups — it
+        looks the jobs up: the fresh ones plus the woken uids' queued jobs,
+        sorted by enqueue sequence, which is the queue's FIFO order.  The
+        loop body is the same either way.
+        """
         # Every policy needs at least one open node, so a dirty partition
-        # with none can place nothing — drop it up front; a pass with no
-        # dirty partitions and no fresh jobs has nothing to do at all.
-        dirty = {p for p in dirty if self._pindex[p].any_open}
-        if not dirty and not fresh and self.config.backfill:
-            return
-        purge = False
+        # (or woken uid) with none can place nothing — drop it up front; a
+        # pass with nothing dirty, woken or fresh has nothing to do at all.
+        pindex = self._pindex
+        dirty = {p for p in dirty if pindex[p].any_open}
+        if woken:
+            woken = {k for k in woken
+                     if k[0] not in dirty and pindex[k[0]].any_open}
         backfill = self.config.backfill
+        if not dirty and not fresh and not woken and backfill:
+            return
+        if dirty or not backfill:
+            jobs = list(self._queue)
+        else:
+            seq = self._enq_seq
+            picked = {jid: self.jobs[jid] for jid in fresh if jid in seq}
+            for key in woken:
+                picked.update(self._queued_by_uid.get(key, ()))
+            jobs = sorted(picked.values(), key=lambda j: seq[j.job_id])
+        purge = False
         # Within one pass capacity only shrinks (starts consume; frees
         # schedule a new pass), so once a placement shape fails, identical
         # later jobs — array campaigns, mostly — must fail too.  Any
         # mid-pass free (a batch step failing at start) repopulates
-        # self._dirty_parts; that invalidates the memo, so drop it.
+        # self._dirty_parts or self._dirty_uids; that invalidates the
+        # memo, so drop it.
         failed: set[tuple] = set()
-        for job in list(self._queue):
+        for job in jobs:
             if job.state is not JobState.PENDING:
                 purge = True  # started (or batch-failed) re-entrantly
                 continue
@@ -431,8 +521,9 @@ class Scheduler:
             # partitions), so jobs behind it may never have been examined —
             # the clean-partition skip is only sound with backfill on.
             if (not backfill or job.job_id in fresh
-                    or job.spec.partition in dirty):
-                if self._dirty_parts:
+                    or job.spec.partition in dirty
+                    or (job.spec.partition, job.uid) in woken):
+                if self._dirty_parts or self._dirty_uids:
                     failed.clear()
                 spec = job.spec
                 sig = (spec.partition, job.uid, spec.ntasks,
@@ -466,6 +557,7 @@ class Scheduler:
         job.start_time = now
         self._running[job.job_id] = job
         self._fresh_jobs.discard(job.job_id)
+        self._dequeue(job)
         spans = self._job_spans.get(job.job_id) if self.tracer else None
         if spans is not None:
             self.tracer.finish(spans["queue"],
@@ -702,7 +794,7 @@ class Scheduler:
             self.remediate(node_name)
         node.drained = False
         node.failed = False
-        self._node_changed(node, freed=True)
+        self._node_changed(node, freed=True, resumed=True)
         if self.journal is not None:
             self.journal.node_resumed(node_name)
         self._try_dispatch()
@@ -802,8 +894,7 @@ class Scheduler:
         self.metrics.counter("jobs_requeued").inc()
         if self.attribution is not None:
             self.attribution.job_requeued(job)
-        self._queue.append(job)
-        self._fresh_jobs.add(job.job_id)
+        self._enqueue(job)
         if self.tracer is not None:
             # the failed attempt's trace closed with NODE_FAIL; the retry
             # gets a fresh trace so every attempt stays inspectable

@@ -12,17 +12,21 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 
-@dataclass(order=True)
 class _Event:
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(compare=False, default=False)
-    done: bool = field(compare=False, default=False)
+    """A scheduled action; the heap orders ``(time, seq, event)`` tuples,
+    so the event itself is never compared."""
+
+    __slots__ = ("time", "seq", "action", "cancelled", "done")
+
+    def __init__(self, time: float, seq: int, action: Callable[[], None]):
+        self.time = time
+        self.seq = seq
+        self.action = action
+        self.cancelled = False
+        self.done = False
 
 
 class SimClock:
@@ -46,7 +50,9 @@ class Engine:
 
     def __init__(self):
         self.clock = SimClock()
-        self._heap: list[_Event] = []
+        #: ``(time, seq, event)`` entries: tuple comparison orders by time,
+        #: then insertion sequence (seq is unique, so events never compare)
+        self._heap: list[tuple[float, int, _Event]] = []
         self._seq = itertools.count()
         self.events_processed = 0
         #: cancelled events still sitting in the heap.  ``pending`` is then
@@ -66,8 +72,9 @@ class Engine:
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
         self._maybe_compact()
-        ev = _Event(time, next(self._seq), action)
-        heapq.heappush(self._heap, ev)
+        seq = next(self._seq)
+        ev = _Event(time, seq, action)
+        heapq.heappush(self._heap, (time, seq, ev))
         return ev
 
     def after(self, delay: float, action: Callable[[], None]) -> _Event:
@@ -103,7 +110,7 @@ class Engine:
             self._compact()
 
     def _compact(self) -> None:
-        self._heap = [e for e in self._heap if not e.cancelled]
+        self._heap = [e for e in self._heap if not e[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         self.compactions += 1
@@ -115,10 +122,10 @@ class Engine:
         """
         self._maybe_compact()
         while self._heap:
-            if until is not None and self._heap[0].time > until:
+            if until is not None and self._heap[0][0] > until:
                 self.clock._advance(until)
                 return self.now
-            ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)[2]
             if ev.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
@@ -134,7 +141,7 @@ class Engine:
         """Process exactly one event; False when the heap is empty."""
         self._maybe_compact()
         while self._heap:
-            ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)[2]
             if ev.cancelled:
                 self._cancelled_in_heap -= 1
                 continue

@@ -211,3 +211,53 @@ class TestForensicContinuity:
         chain = trail.chain(anchor)
         assert any(r.action == "submit" for r in chain), \
             "recovery broke the causal chain to the pre-crash submit"
+
+
+class TestQueueIndexRebuild:
+    """Recovery rebuilds the pending-queue index (FIFO sequence numbers and
+    the per-uid lookup) that whole-node-per-user dispatch wakes from."""
+
+    @staticmethod
+    def _llsc_run(crash_at: float | None):
+        from repro import LLSC
+        from repro.core.cluster import Cluster
+        cluster = Cluster.build(LLSC, n_compute=3, cores=8,
+                                users=("alice", "bob", "carol"))
+        cluster.scheduler.config.requeue_on_node_fail = True
+        attach_persistence(cluster, snapshot_every=16)
+        users = ("alice", "bob", "carol")
+        for i in range(18):
+            # later submissions arrive earlier: queue order != job-id order
+            cluster.submit(users[i % 3], name=f"j{i}", ntasks=2 + i % 3,
+                           duration=6.0 + (i * 7) % 11,
+                           at=(17 - i) * 0.25)
+        sched = cluster.scheduler
+        cluster.engine.at(3.0, lambda: sched.fail_node("c3"))
+        cluster.engine.at(9.0, lambda: sched.resume("c3"))
+        queued_uids = None
+        if crash_at is not None:
+            cluster.run(until=crash_at)
+            pending = sched.pending()
+            queued_uids = {j.uid for j in pending}
+            assert [j.job_id for j in pending] != sorted(
+                j.job_id for j in pending)
+            cluster.chaos().crash_scheduler()
+            report = cluster.recover()
+            assert report.identical and report.replayed > 0
+            assert [j.job_id for j in sched.pending()] == [
+                j.job_id for j in pending]
+        cluster.run()
+        outcome = {jid: (j.state, j.start_time, j.end_time, j.attempt,
+                         [(a.node, a.tasks, a.cores) for a in j.allocations])
+                   for jid, j in sched.jobs.items()}
+        return outcome, queued_uids, sched
+
+    def test_mixed_queue_crash_matches_uncrashed_run(self):
+        reference, _, _ = self._llsc_run(None)
+        outcome, queued_uids, sched = self._llsc_run(crash_at=10.5)
+        assert len(queued_uids) >= 2
+        assert outcome == reference
+        assert any(attempt > 1 for *_, attempt, _ in outcome.values())
+        assert all(state is JobState.COMPLETED
+                   for state, *_ in outcome.values())
+        assert sched._enq_seq == {} and sched._queued_by_uid == {}

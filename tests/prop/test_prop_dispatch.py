@@ -43,6 +43,23 @@ jobs_strategy = st.lists(
     min_size=1, max_size=25,
 )
 
+#: many small jobs of two users on few nodes: under WHOLE_NODE_USER most
+#: finishes leave a node its owner still holds, so the per-uid wakeups
+#: (not the whole-partition ones) decide who starts next
+packed_jobs_strategy = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=1),        # user index
+        st.integers(min_value=1, max_value=3),        # ntasks
+        st.integers(min_value=1, max_value=2),        # cores_per_task
+        st.sampled_from([0, 500]),                    # mem_mb_per_task
+        st.just(0),                                   # gpus_per_task
+        st.booleans(),                                # --exclusive
+        st.integers(min_value=1, max_value=30),       # duration
+        st.integers(min_value=0, max_value=10),       # arrival offset
+    ),
+    min_size=4, max_size=30,
+)
+
 admin_strategy = st.lists(
     st.tuples(
         st.sampled_from(["fail", "drain", "resume"]),
@@ -124,6 +141,30 @@ def test_indexed_dispatch_identical_to_naive(jobs, admin, n_nodes, cores,
     assert {j.job_id for j in fast_sched.pending()} == {
         j.job_id for j in fast_sched.jobs.values()
         if j.state is JobState.PENDING}
+    # ... and so must the queue index the looked-up passes read
+    pending = fast_sched.pending()
+    assert list(fast_sched._enq_seq) == [j.job_id for j in pending]
+    assert sorted(jid for queued in fast_sched._queued_by_uid.values()
+                  for jid in queued) == sorted(j.job_id for j in pending)
+
+
+@settings(max_examples=50)
+@given(jobs=packed_jobs_strategy, admin=admin_strategy,
+       n_nodes=st.integers(min_value=1, max_value=3),
+       cores=st.integers(min_value=4, max_value=8),
+       requeue=st.booleans())
+def test_per_uid_wakeups_identical_to_naive(jobs, admin, n_nodes, cores,
+                                            requeue):
+    """Whole-node-per-user under packing pressure: a finish on a node its
+    owner still holds wakes only that owner's queued jobs, looked up in
+    FIFO order — placements must still equal the naive rescan's."""
+    kw = dict(jobs=jobs, admin=admin, n_nodes=n_nodes, cores=cores,
+              mem_mb=16000, gpus=0, policy=NodeSharing.WHOLE_NODE_USER,
+              backfill=True, requeue=requeue)
+    naive_out, naive_seq, _ = _run_side(naive=True, **kw)
+    fast_out, fast_seq, _ = _run_side(naive=False, **kw)
+    assert fast_out == naive_out
+    assert fast_seq == naive_seq
 
 
 @settings(max_examples=25)

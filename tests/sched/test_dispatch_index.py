@@ -167,3 +167,141 @@ class TestDispatchBehaviour:
         assert not sched.user_has_job_on(bob, node)
         engine.run()
         assert not sched.user_has_job_on(alice, node)
+
+
+def _outcome(sched) -> dict:
+    """Per-job state, start/end times and allocations."""
+    return {jid: (j.state, j.start_time, j.end_time,
+                  [(a.node, a.tasks, a.cores) for a in j.allocations])
+            for jid, j in sched.jobs.items()}
+
+
+def _spy_examined(sched) -> list[int]:
+    """Record the id of every job the indexed dispatch tries to place."""
+    seen: list[int] = []
+    inner = sched._placement_indexed
+
+    def spy(job):
+        seen.append(job.job_id)
+        return inner(job)
+
+    sched._placement_indexed = spy
+    return seen
+
+
+def _raise(ctx):
+    raise RuntimeError("batch step exits 1")
+
+
+class TestPerUidWakeups:
+    """Whole-node-per-user: a free on a node its owner still holds can
+    only help that owner, so it wakes only the owner's queued jobs."""
+
+    def _two_owner_nodes(self, userdb, *, short_tasks=4, naive=False):
+        """c1 held by alice (long + short job), c2 by bob with 2 free
+        cores; bob's 4-task job waits, as does alice's."""
+        engine, sched = build_sched(userdb, n_nodes=2, cores=8,
+                                    policy=NodeSharing.WHOLE_NODE_USER)
+        sched.config.naive = naive
+        if short_tasks < 8:
+            sched.submit(spec(userdb, "alice", ntasks=8 - short_tasks),
+                         duration=100.0)
+        short = sched.submit(spec(userdb, "alice", ntasks=short_tasks),
+                             duration=10.0)
+        sched.submit(spec(userdb, "bob", ntasks=6), duration=100.0)
+        b_wait = sched.submit(spec(userdb, "bob", ntasks=4), duration=5.0,
+                              at=1.0)
+        engine.run(until=5.0)
+        assert short.nodes == ["c1"] and b_wait.state is JobState.PENDING
+        return engine, sched, b_wait
+
+    def test_owner_held_free_examines_no_other_uid(self, userdb):
+        engine, sched, b_wait = self._two_owner_nodes(userdb)
+        a_wait = sched.submit(spec(userdb, "alice", ntasks=4),
+                              duration=5.0, at=6.0)
+        engine.run(until=7.0)
+        assert a_wait.state is JobState.PENDING
+        seen = _spy_examined(sched)
+        scan = sched.metrics.counter("sched_dispatch_scan")
+        before = scan.value
+        engine.run(until=11.0)  # alice's short job ends at t=10
+        assert a_wait.state is JobState.RUNNING
+        assert a_wait.start_time == 10.0 and a_wait.nodes == ["c1"]
+        assert b_wait.job_id not in seen
+        assert seen == [a_wait.job_id]
+        assert scan.value - before == 1  # only c1, for alice's job
+        assert b_wait.state is JobState.PENDING
+
+    def test_free_that_idles_the_node_wakes_everyone(self, userdb):
+        engine, sched, b_wait = self._two_owner_nodes(userdb, short_tasks=8)
+        seen = _spy_examined(sched)
+        engine.run(until=11.0)  # alice's only job ends: c1 goes idle
+        assert b_wait.job_id in seen
+        assert b_wait.state is JobState.RUNNING
+        assert b_wait.start_time == 10.0 and b_wait.nodes == ["c1"]
+
+    def _batch_failure_mid_pass(self, userdb, naive):
+        engine, sched, b_wait = self._two_owner_nodes(userdb, naive=naive)
+        # queued in this order; c1 gets 4 cores back at t=10
+        wide = sched.submit(spec(userdb, "alice", ntasks=6), duration=5.0,
+                            at=6.0)
+        broken = sched.submit(spec(userdb, "alice", ntasks=4,
+                                   script=_raise), duration=5.0, at=6.0)
+        after = sched.submit(spec(userdb, "alice", ntasks=4), duration=5.0,
+                             at=6.0)
+        seen = [] if naive else _spy_examined(sched)
+        engine.run(until=11.0)
+        woken = list(seen)
+        engine.run()
+        return sched, (b_wait, wide, broken, after), woken
+
+    def test_batch_failure_mid_pass_matches_naive(self, userdb):
+        """The broken job starts, its batch step fails and frees c1 again
+        inside the uid-only pass: the job queued behind it gets c1 at the
+        same instant, exactly as the naive rescan places it."""
+        sched, (b_wait, wide, broken, after), woken = \
+            self._batch_failure_mid_pass(userdb, naive=False)
+        ref, _, _ = self._batch_failure_mid_pass(userdb, naive=True)
+        assert broken.state is JobState.FAILED
+        assert broken.start_time == 10.0
+        assert after.start_time == 10.0 and after.nodes == ["c1"]
+        assert wide.start_time > 10.0
+        assert b_wait.job_id not in woken
+        assert sched.metrics.counter("script_failures").value == 1
+        assert _outcome(sched) == _outcome(ref)
+
+    def _out_of_order_queue(self, userdb, naive):
+        """Queue order is not job-id order: a job submitted with a later
+        ``at=`` queues behind one submitted after it, and a requeued
+        node-failure victim goes to the tail."""
+        engine, sched = build_sched(userdb, n_nodes=3, cores=8,
+                                    policy=NodeSharing.WHOLE_NODE_USER)
+        sched.config.naive = naive
+        sched.config.requeue_on_node_fail = True
+        victim = sched.submit(spec(userdb, "alice", ntasks=8),
+                              duration=50.0)
+        sched.submit(spec(userdb, "alice", ntasks=4), duration=100.0)
+        sched.submit(spec(userdb, "alice", ntasks=4), duration=10.0)
+        sched.submit(spec(userdb, "bob", ntasks=8), duration=100.0)
+        late = sched.submit(spec(userdb, "alice", ntasks=4), duration=20.0,
+                            at=5.0)
+        early = sched.submit(spec(userdb, "alice", ntasks=4), duration=20.0,
+                             at=1.0)
+        engine.at(2.0, lambda: sched.fail_node(victim.nodes[0]))
+        engine.at(30.0, lambda: sched.resume("c1"))
+        engine.run(until=6.0)
+        queued = [j.job_id for j in sched.pending()]
+        engine.run()
+        return sched, (victim, late, early), queued
+
+    def test_future_arrivals_and_requeue_to_tail_match_naive(self, userdb):
+        sched, (victim, late, early), queued = \
+            self._out_of_order_queue(userdb, naive=False)
+        ref, _, ref_queued = self._out_of_order_queue(userdb, naive=True)
+        assert queued == ref_queued == [early.job_id, victim.job_id,
+                                        late.job_id]
+        assert victim.attempt == 2
+        # FIFO, not job-id order, decides who gets c2's freed cores
+        assert early.start_time == 10.0
+        assert late.start_time > 10.0
+        assert _outcome(sched) == _outcome(ref)
