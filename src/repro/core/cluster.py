@@ -362,12 +362,14 @@ class Cluster:
         return sys
 
     def node(self, name: str) -> LinuxNode:
-        for n in self.login_nodes + self.dtn_nodes + [self.portal_node]:
+        """The node called *name*: login, DTN, portal, compute (looked up
+        in the scheduler's name index), then workstation."""
+        for n in (*self.login_nodes, *self.dtn_nodes, self.portal_node):
             if n.name == name:
                 return n
-        for cn in self.compute_nodes:
-            if cn.name == name:
-                return cn.node
+        cn = self.scheduler.nodes.get(name)
+        if cn is not None:
+            return cn.node
         if name in self.workstations:
             return self.workstations[name]
         from repro.kernel.errors import NoSuchEntity

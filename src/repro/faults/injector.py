@@ -133,10 +133,14 @@ class FaultInjector:
 
     def host_unreachable(self, host: str) -> bool:
         """Partitioned *or* crashed: either way no packet gets through."""
+        if not self._active:
+            return False
         return bool(self.active(FaultKind.HOST_UNREACHABLE, host)
                     or self.active(FaultKind.NODE_CRASH, host))
 
     def node_crashed(self, host: str) -> bool:
+        if not self._active:
+            return False
         return bool(self.active(FaultKind.NODE_CRASH, host))
 
     def heartbeat_ok(self, host: str) -> bool:
@@ -146,6 +150,8 @@ class FaultInjector:
         fault drops each probe with probability ``flake_rate`` (seeded
         draws — identical runs observe identical flaps).
         """
+        if not self._active:
+            return True
         if self.host_unreachable(host):
             return False
         for fault in self.active(FaultKind.NODE_FLAP, host):
@@ -163,6 +169,8 @@ class FaultInjector:
         which is exactly the shape a retry-with-backoff client recovers
         from without operator action.
         """
+        if not self._active:
+            return True
         if self.host_unreachable(host) \
                 or self.active(FaultKind.IDENTD_UNRESPONSIVE, host):
             return False
@@ -183,6 +191,8 @@ class FaultInjector:
         daemon's job, by cross-checking against the kernel-stamped uid on
         the connection packet itself.
         """
+        if not self._active:
+            return None
         for fault in self.active(FaultKind.IDENT_SPOOF, host):
             from repro.net.ident import IdentReply
             uid = int(fault.params.get("uid", 0))
@@ -195,6 +205,8 @@ class FaultInjector:
 
     def drop_packet(self, dst_host: str) -> bool:
         """Seeded-random loss draw for one data packet toward *dst_host*."""
+        if not self._active:
+            return False
         for fault in self.active(FaultKind.PACKET_LOSS, dst_host):
             rate = float(fault.params.get("loss_rate", 0.0))
             if rate > 0 and self._rng.random() < rate:

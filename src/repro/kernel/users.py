@@ -154,6 +154,10 @@ class UserDB:
         self._groups_by_gid: dict[int, Group] = {}
         self._next_uid = FIRST_USER_ID
         self._next_gid = FIRST_USER_ID
+        #: groups_of memo, (uid, primary gid) → gids; valid for the
+        #: generation in ``_groups_memo_gen`` only (see :meth:`groups_of`)
+        self._groups_memo: dict[tuple[int, int], frozenset[int]] = {}
+        self._groups_memo_gen = -1
         root_grp = Group("root", ROOT_GID, members={ROOT_UID})
         self._register_group(root_grp)
         root = User("root", ROOT_UID, ROOT_GID)
@@ -164,6 +168,16 @@ class UserDB:
 
     # -- registration ------------------------------------------------------
 
+    def drop_membership_memo(self) -> None:
+        """Forget every memoised :meth:`groups_of` answer.
+
+        Called on every path that changes the group table itself
+        (registration, snapshot restore, journal replay) rather than
+        trusting each to move :attr:`generation`: a stale answer would
+        hand a revoked member the gid in fresh credentials.
+        """
+        self._groups_memo.clear()
+
     def _register_group(self, group: Group) -> Group:
         if group.name in self._groups:
             raise Exists(f"group {group.name!r}")
@@ -171,6 +185,7 @@ class UserDB:
             raise Exists(f"gid {group.gid}")
         self._groups[group.name] = group
         self._groups_by_gid[group.gid] = group
+        self.drop_membership_memo()
         return group
 
     def add_user(self, name: str, *, support_staff: bool = False) -> User:
@@ -269,10 +284,29 @@ class UserDB:
         return list(self._users.values())
 
     def groups_of(self, user: User) -> frozenset[int]:
-        """All gids *user* belongs to (primary + supplementary)."""
-        return frozenset(
-            g.gid for g in self._groups.values() if user.uid in g.members
-        ) | {user.primary_gid}
+        """All gids *user* belongs to (primary + supplementary).
+
+        The answer is memoised per ``(uid, primary gid)`` and handed out
+        as the same immutable frozenset until :attr:`generation` moves
+        (every membership mutation bumps it — the basis the UBF's
+        allow-sets already invalidate on).  Group registration, snapshot
+        restore and journal replay also drop the memo explicitly
+        (:meth:`drop_membership_memo`), so a revocation is seen by the
+        very next call whichever path made it.
+        """
+        memo = self._groups_memo
+        if self._groups_memo_gen != self.generation:
+            memo.clear()
+            self._groups_memo_gen = self.generation
+        key = (user.uid, user.primary_gid)
+        gids = memo.get(key)
+        if gids is None:
+            uid = user.uid
+            gids = frozenset(
+                g.gid for g in self._groups.values() if uid in g.members
+            ) | {user.primary_gid}
+            memo[key] = gids
+        return gids
 
     def credentials_for(self, user: User, *, smask: int = 0o000,
                         umask: int = 0o022) -> Credentials:

@@ -266,17 +266,20 @@ class VFS:
 
     def _find_mount(self, path: str) -> tuple[Mount, list[str]]:
         """Longest-prefix mount match; returns the mount and the residual
-        path components inside that filesystem."""
+        path components inside that filesystem.
+
+        The mount table is keyed by normalised mount point, so the match
+        probes the path's own prefixes, deepest first, cutting one whole
+        component at a time (``/homework`` never matches ``/home``).
+        """
         norm = _normalize(path)
-        parts = [p for p in norm.split("/") if p]
-        best = self._mounts["/"]
-        best_depth = 0
-        for mnt in self._mounts.values():
-            mparts = [p for p in mnt.path.split("/") if p]
-            if len(mparts) > best_depth and parts[: len(mparts)] == mparts:
-                best = mnt
-                best_depth = len(mparts)
-        return best, parts[best_depth:]
+        mounts = self._mounts
+        prefix = norm
+        mnt = mounts.get(prefix)
+        while mnt is None:
+            prefix = prefix[:prefix.rfind("/")] or "/"
+            mnt = mounts.get(prefix)
+        return mnt, [p for p in norm[len(prefix):].split("/") if p]
 
     # -- resolution --------------------------------------------------------
 

@@ -118,8 +118,9 @@ class AuditTrail:
     E26 < 5% overhead budget): appends land as raw tuples; the frozen
     :class:`AuditRecord` objects and the per-key indexes are materialised
     lazily, each row exactly once, on the first query/export that needs
-    them.  Attribution is still resolved at append time — only the object
-    construction is deferred, never the causal facts.
+    them — :meth:`record` hands back its own row without rendering the
+    trail.  Attribution is still resolved at append time — only the
+    object construction is deferred, never the causal facts.
     """
 
     def __init__(self, clock: Callable[[], float] | None = None,
@@ -265,14 +266,18 @@ class AuditTrail:
                time: float | None = None) -> AuditRecord:
         """Append one record, resolving attribution when not supplied.
 
-        Returns the frozen record (with its ``seq``); queries see it
-        immediately.
+        Returns the frozen record (with its ``seq``), built from the same
+        fields the row was appended with, so it equals
+        ``records[rec.seq]``.  Recording renders nothing else: earlier
+        pending rows stay raw until a query or export renders the trail.
         """
         job_id, trace_id = self._resolve(uid, job_id, node, trace_id)
-        self._append(self.clock() if time is None else time, mechanism,
-                     action, uid, job_id, node, trace_id, target, detail)
-        self._sync()
-        return self._records[-1]
+        if time is None:
+            time = self.clock()
+        self._append(time, mechanism, action, uid, job_id, node, trace_id,
+                     target, detail)
+        return AuditRecord(self._n - 1, time, mechanism, action, uid,
+                           job_id, node, trace_id, target, detail)
 
     def observe_event(self, event: SecurityEvent) -> None:
         """Event-log sink: derive one audit record from a security event.

@@ -504,6 +504,7 @@ def _rp_user(cluster, rec):
                                  private_for=rec["uid"]))
     else:
         db._groups_by_gid[rec["gid"]].members.add(rec["uid"])
+        db.drop_membership_memo()
     db._users[user.name] = user
     db._users_by_uid[user.uid] = user
     db._next_uid = max(db._next_uid, rec["uid"] + 1)
@@ -524,12 +525,14 @@ def _rp_pgroup(cluster, rec):
 def _rp_member_add(cluster, rec):
     db = cluster.userdb
     db._groups_by_gid[rec["gid"]].members.add(rec["uid"])
+    db.drop_membership_memo()
     db.generation = rec["gen"]
 
 
 def _rp_member_del(cluster, rec):
     db = cluster.userdb
     db._groups_by_gid[rec["gid"]].members.discard(rec["uid"])
+    db.drop_membership_memo()
     db.generation = rec["gen"]
 
 

@@ -215,6 +215,7 @@ def _restore_userdb(db, data: dict) -> None:
     db._next_uid = data["next_uid"]
     db._next_gid = data["next_gid"]
     db.generation = data["generation"]
+    db.drop_membership_memo()
 
 
 def _restore_job(row: dict, userdb, nodes) -> Job:

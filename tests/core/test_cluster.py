@@ -121,6 +121,27 @@ class TestSessions:
             llsc.node("zzz")
 
 
+class TestNodeLookup:
+    def test_every_node_kind_resolves(self):
+        from repro.core.cluster import Cluster
+        from repro.kernel.errors import NoSuchEntity
+        cluster = Cluster.build(LLSC, n_compute=3, n_login=2, n_dtn=2,
+                                users=("alice",))
+        for node in cluster.login_nodes + cluster.dtn_nodes + \
+                [cluster.portal_node]:
+            assert cluster.node(node.name) is node
+        for cn in cluster.compute_nodes:
+            assert cluster.node(cn.name) is cn.node
+            assert cluster.node(cn.name) is cluster.compute(cn.name).node
+        with pytest.raises(NoSuchEntity):
+            cluster.node("alice-laptop")
+        ws = cluster.add_workstation("alice")
+        assert cluster.node("alice-laptop") is ws
+        for name in ("zzz", "c", "c4", "login3", ""):
+            with pytest.raises(NoSuchEntity):
+                cluster.node(name)
+
+
 class TestSeepid:
     def test_staff_gains_visibility(self):
         cluster = standard_cluster(LLSC)

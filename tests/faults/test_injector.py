@@ -88,6 +88,55 @@ class TestPredicates:
         assert not any(injector.drop_packet("c1") for _ in range(20))
 
 
+#: each data-path predicate's answer for a host with no fault on it
+NO_FAULT = {"host_unreachable": False, "node_crashed": False,
+            "drop_packet": False, "ident_attempt_ok": True,
+            "heartbeat_ok": True, "spoofed_reply": None}
+
+
+def inject_elsewhere(inj):
+    """One fault of every data-path kind, none of them on c1."""
+    inj.inject(FaultKind.HOST_UNREACHABLE, "c2")
+    inj.inject(FaultKind.NODE_CRASH, "c3")
+    inj.inject(FaultKind.PACKET_LOSS, "c4", loss_rate=1.0)
+    inj.inject(FaultKind.IDENTD_UNRESPONSIVE, "c5")
+    inj.inject(FaultKind.IDENTD_SLOW, "c6", fail_attempts=3)
+    inj.inject(FaultKind.NODE_FLAP, "c7", flake_rate=1.0)
+    inj.inject(FaultKind.IDENT_SPOOF, "c8", uid=0)
+
+
+class TestHealthyPath:
+    def test_no_fault_answers_without_scanning(self, injector, monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("active() scanned with nothing injected")
+
+        monkeypatch.setattr(injector, "active", scan)
+        state = injector._rng.bit_generator.state
+        for name, expected in NO_FAULT.items():
+            assert getattr(injector, name)("c1") == expected, name
+        assert injector._rng.bit_generator.state == state  # no loss/flap draw
+
+    def test_faults_on_other_hosts_change_no_answer(self):
+        from repro.sim.metrics import MetricSet
+        healthy = FaultInjector(MetricSet(), seed=7)
+        faulted = FaultInjector(MetricSet(), seed=7)
+        inject_elsewhere(faulted)
+        for _ in range(3):
+            for name, expected in NO_FAULT.items():
+                assert getattr(faulted, name)("c1") == expected, name
+                assert getattr(healthy, name)("c1") == expected, name
+        assert faulted._rng.bit_generator.state == \
+            healthy._rng.bit_generator.state
+        # ...while every injected fault still bites on its own host
+        assert faulted.host_unreachable("c2")
+        assert faulted.node_crashed("c3") and not faulted.heartbeat_ok("c3")
+        assert faulted.drop_packet("c4")
+        assert not faulted.ident_attempt_ok("c5")
+        assert not faulted.ident_attempt_ok("c6")
+        assert not faulted.heartbeat_ok("c7")
+        assert faulted.spoofed_reply("c8").uid == 0
+
+
 class TestTransit:
     def test_unreachable_host_times_out_connect(self, userdb):
         fabric, nodes, _ = build_fabric(userdb, ["c1", "c2"], ubf=False)

@@ -158,6 +158,67 @@ class TestExport:
         assert len(Path(path).read_text().splitlines()) == n
 
 
+def build_mixed_trail(query_between: bool):
+    """Lifecycle rows, UBF accepts, events and ``record()`` calls,
+    interleaved; with *query_between* the trail is rendered after every
+    append, otherwise only at the end."""
+    clock = Clock()
+    registry = AttributionRegistry(clock)
+    trail = AuditTrail(clock, registry)
+    registry.audit = trail
+    job = fake_job(gpus=(0, 1))
+    returned = []
+    steps = [
+        lambda: registry.job_submitted(job),
+        lambda: returned.append(trail.record(
+            mechanism="portal", action="allow", uid=1000, target="app:1",
+            node="portal", detail="forward")),
+        lambda: registry.job_started(job),
+        lambda: trail.ubf_verdict(uid=1000, node="c1", target="c3:2049",
+                                  verdict="accept", reason="same-user"),
+        lambda: registry.session_opened(fake_user(1001, "bob"), "login1"),
+        lambda: trail.observe_event(SecurityEvent(
+            clock.now, EventKind.FS_DENY, 1001, "/home/alice", "EACCES",
+            node="login1")),
+        lambda: returned.append(trail.record(
+            mechanism="recovery", action="crash", uid=0, target="scheduler",
+            detail="control plane crashed", time=99.5)),
+        lambda: registry.job_finished(job, SimpleNamespace(name="FAILED")),
+        lambda: returned.append(trail.record(
+            mechanism="portal", action="allow", uid=1001, target="app:2",
+            job_id=1, node="portal")),
+    ]
+    for i, step in enumerate(steps):
+        clock.now = float(i + 1)
+        step()
+        if query_between:
+            trail.query(uid=1000)
+    return trail, returned
+
+
+class TestLazyRendering:
+    def test_record_returns_the_rendered_row(self):
+        for query_between in (False, True):
+            trail, returned = build_mixed_trail(query_between)
+            assert len(returned) == 3
+            for rec in returned:
+                assert rec == trail.records[rec.seq]
+
+    def test_export_independent_of_query_timing(self):
+        lazy, _ = build_mixed_trail(query_between=False)
+        eager, _ = build_mixed_trail(query_between=True)
+        assert len(lazy) == len(eager) == len(lazy.records)
+        assert list(lazy.lines()) == list(eager.lines())
+
+    def test_record_leaves_pending_rows_unrendered(self):
+        trail, returned = build_mixed_trail(query_between=False)
+        assert len(trail) > len(returned)
+        assert trail._records == [] and trail._pos == 0
+        rendered = trail.records
+        assert len(rendered) == len(trail)
+        assert trail._pos == len(trail._raw)
+
+
 class TestRegistryResolution:
     def test_prefers_live_job_on_node(self):
         clock = Clock()
