@@ -64,11 +64,18 @@ class PamSlurm:
     has_job_on: Callable[[int, str], bool]
     exempt_nodes: frozenset[str] = frozenset()
     name: str = "pam_slurm"
+    #: observability hook: called as ``(user, node_name)`` just before a
+    #: refusal is raised (wired by
+    #: :func:`repro.monitor.wiring.instrument_cluster` to emit PAM_DENY)
+    deny_hook: Callable[[User, str], None] | None = field(
+        default=None, repr=False, compare=False)
 
     def account(self, user: User, node_name: str) -> None:
         if user.is_root or node_name in self.exempt_nodes:
             return
         if not self.has_job_on(user.uid, node_name):
+            if self.deny_hook is not None:
+                self.deny_hook(user, node_name)
             raise AccessDenied(
                 f"pam_slurm: {user.name} has no running job on {node_name}"
             )

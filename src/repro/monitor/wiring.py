@@ -3,8 +3,11 @@
 ``instrument_cluster`` attaches a :class:`SecurityEventLog` to an existing
 :class:`~repro.core.cluster.Cluster`:
 
-* every UBF daemon's denial path emits :data:`EventKind.NET_DENY`;
-* every compute node's pam_slurm emits :data:`EventKind.PAM_DENY`;
+* every UBF daemon's ``on_decision`` hook emits :data:`EventKind.NET_DENY`
+  for a per-packet DROP and :data:`EventKind.DEGRADED` for a verdict taken
+  under an identity-infrastructure fault;
+* every compute node's pam_slurm deny hook emits
+  :data:`EventKind.PAM_DENY`;
 * an :class:`AuditedSyscalls` wrapper (handed out by
   :func:`audited_session`) emits FS/PROC denials for the calls user code
   makes through it;
@@ -14,10 +17,12 @@
   VFS refuses an open of its ``/dev`` character file;
 * the portal emits :data:`EventKind.PORTAL_DENY` on refused requests.
 
-Instrumentation is additive — enforcement behaviour is unchanged; only
-observations are recorded.  ``instrument_cluster`` is idempotent: calling
-it again returns the already-attached log instead of double-wrapping the
-enforcement points (which would emit duplicate events).
+Each enforcement point reports its own refusals through a hook field it
+owns; this module only assigns the hooks.  It binds no nfqueue handler and
+overrides no method, so it cannot change what an enforcement point decides
+— a daemon that is crashed when the log is attached stays fail-closed, and
+its hook survives ``restart()``.  ``instrument_cluster`` is idempotent:
+calling it again returns the already-attached log.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import TYPE_CHECKING
 from repro.kernel.errors import AccessDenied, KernelError, NoSuchProcess, PermissionError_
 from repro.kernel.pam import PamSlurm
 from repro.monitor.events import EventKind, SecurityEventLog
-from repro.net.firewall import Verdict
+from repro.net.ubf import DecisionReason
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle (the
     # portal, which core.cluster builds, reports events through this layer)
@@ -38,8 +43,8 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle (the
 def instrument_cluster(cluster: Cluster) -> SecurityEventLog:
     """Attach a log; returns it (also stored as ``cluster.security_log``).
 
-    Idempotent: a second call returns the existing log unchanged, so the
-    UBF daemons and PAM stacks are never wrapped twice.
+    Idempotent: a second call returns the existing log unchanged, so no
+    enforcement point reports a refusal twice.
     """
     existing = getattr(cluster, "security_log", None)
     if existing is not None:
@@ -61,50 +66,33 @@ def instrument_cluster(cluster: Cluster) -> SecurityEventLog:
     if health is not None and health.events is None:
         health.events = log
 
-    # UBF denials: wrap each daemon's decide()
+    # UBF denials: the daemon hands each DROP / degraded verdict of
+    # decide() to its on_decision hook
+    def ubf_decision(pkt, decision):
+        verdict, iu, reason, code = decision
+        flow = pkt.flow
+        if code is DecisionReason.DEGRADED:
+            # Infrastructure fault, not a principal's denial: record it
+            # distinctly so posture/probe views don't blame the user.
+            kind, detail = EventKind.DEGRADED, f"{verdict.value}: {reason}"
+        else:
+            kind, detail = EventKind.NET_DENY, reason
+        log.emit(cluster.engine.now, kind, -1 if iu is None else iu,
+                 f"{flow.dst_host}:{flow.dst_port}", detail,
+                 node=flow.src_host)
+
     for daemon in cluster.ubf_daemons.values():
-        original = daemon.decide
+        daemon.on_decision = ubf_decision
 
-        def wrapped(pkt, _orig=original, _daemon=daemon):
-            verdict = _orig(pkt)
-            entry = _daemon.log[-1] if _daemon.log else None
-            if entry is not None and entry.reason.startswith("degraded"):
-                # Infrastructure fault, not a principal's denial: record it
-                # distinctly so posture/probe views don't blame the user.
-                log.emit(cluster.engine.now, EventKind.DEGRADED,
-                         entry.initiator_uid if entry.initiator_uid
-                         is not None else -1,
-                         f"{pkt.flow.dst_host}:{pkt.flow.dst_port}",
-                         f"{verdict.value}: {entry.reason}",
-                         node=pkt.flow.src_host)
-            elif verdict is Verdict.DROP and entry is not None:
-                log.emit(cluster.engine.now, EventKind.NET_DENY,
-                         entry.initiator_uid if entry.initiator_uid
-                         is not None else -1,
-                         f"{pkt.flow.dst_host}:{pkt.flow.dst_port}",
-                         entry.reason,
-                         node=pkt.flow.src_host)
-            return verdict
+    # pam_slurm denials: arm each compute node's PamSlurm deny hook
+    def pam_deny(user, node_name):
+        log.emit(cluster.engine.now, EventKind.PAM_DENY, user.uid,
+                 node_name, "pam_slurm refusal", node=node_name)
 
-        daemon.stack.firewall.bind_nfqueue(wrapped)
-
-    # pam_slurm denials: wrap the account() of each stack's PamSlurm
     for cn in cluster.compute_nodes:
         for module in cn.node.pam.modules:
             if isinstance(module, PamSlurm):
-                original_account = module.account
-
-                def account(user, node_name, _orig=original_account):
-                    try:
-                        return _orig(user, node_name)
-                    except AccessDenied:
-                        log.emit(cluster.engine.now, EventKind.PAM_DENY,
-                                 user.uid, node_name, "pam_slurm refusal",
-                                 node=node_name)
-                        raise
-
-                # dataclass instances: bind per-instance override
-                object.__setattr__(module, "account", account)
+                module.deny_hook = pam_deny
 
     # GPU /dev denials: arm each device's deny hook (the VFS calls it when
     # DAC refuses an open; see GPUDevice.on_access_denied)

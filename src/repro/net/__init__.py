@@ -33,7 +33,6 @@ from repro.net.ubf import (
     COST_US,
     DecisionReason,
     UBFDaemon,
-    UBFDecisionLog,
     firewall_cost_us,
 )
 from repro.net.zones import (
@@ -52,7 +51,6 @@ __all__ = [
     "MemoryRegion", "QueuePair", "RDMAFabric",
     "BoundSocket", "Connection", "ConnectionEnd", "Datagram", "Fabric",
     "HostStack", "SocketAPI",
-    "COST_US", "DecisionReason", "UBFDaemon",
-    "UBFDecisionLog", "firewall_cost_us",
+    "COST_US", "DecisionReason", "UBFDaemon", "firewall_cost_us",
     "POSTURES", "UBFPosture", "ZoneTier", "apply_tier", "apply_zone_tiers",
 ]

@@ -287,9 +287,9 @@ class Firewall:
         drops NEW connections while conntrack keeps established flows
         alive — the degradation contract of the real nfqueue data path.
         Returns the detached handler so a restart can rebind the exact
-        callable (including any monitoring wrappers around it).  The batch
-        handler is detached alongside it — a crashed daemon must not keep
-        serving bursts.
+        callable (including a wrapper bound around it, such as a profiling
+        tracer).  The batch handler is detached alongside it — a crashed
+        daemon must not keep serving bursts.
         """
         handler, self._nfqueue = self._nfqueue, None
         self._nfqueue_batch = None

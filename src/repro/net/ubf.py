@@ -48,10 +48,14 @@ fault, not an identity decision — and are counted under
 Crash/restart: ``crash()`` detaches the daemon from the nfqueue (the kernel
 then fails closed for NEW connections — no handler means DROP) while
 conntrack keeps established flows alive.  ``restart()`` rebinds the exact
-handler that was detached (monitoring wrappers installed by
-``instrument_cluster`` survive), flushes the decision cache (stale across a
-restart) and re-syncs against the surviving conntrack table — no manual
-flush is ever needed.
+handler that was detached (a wrapper bound around ``decide`` from outside,
+such as a profiling tracer, survives), flushes the decision cache (stale
+across a restart) and re-syncs against the surviving conntrack table — no
+manual flush is ever needed.
+
+Reporting: ``decide`` hands every DROP and degraded verdict to the
+``on_decision`` hook — a field, not a wrapper around the nfqueue binding,
+so a crash or restart can neither detach it nor be undone by setting it.
 
 Scale-out hot path (E24): ``decide_batch`` takes a burst of queued packets
 and **coalesces** ident queries — packets from the same remote (host, proto,
@@ -74,10 +78,9 @@ consumes fewer identd attempts than per-packet retry loops).
 What a burst records: every row still ticks the decision clock once,
 passes the oracle's I2 checks at the same call sites (and so with the
 same sampling) as ``decide``, and, for a clean ACCEPT with a known
-initiator, writes the same ``ubf_verdict`` audit record.  Bursts append
-nothing to :attr:`UBFDaemon.log` — that per-decision record is kept by
-``decide`` only, since at flood rates it was the burst path's main cost
-in time and memory.  The ``ubf.decide_batch`` span and its
+initiator, writes the same ``ubf_verdict`` audit record.  Bursts do not
+call ``on_decision``: a burst DROP is counted under ``ubf_denials`` but
+emits no security event.  The ``ubf.decide_batch`` span and its
 ``ubf.ident_group`` children carry the burst's trace.
 """
 
@@ -86,6 +89,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.kernel.errors import NoSuchEntity
 from repro.kernel.users import UserDB
@@ -106,7 +110,8 @@ class DecisionReason(enum.Enum):
     degraded verdicts embedded the fault message — every distinct fault
     minted a new counter series, unbounded label cardinality.  Metric
     labels now always come from this enum; the human-readable detail lives
-    only in :class:`UBFDecisionLog`, span tags, and the audit trail.
+    only in the :data:`Decision` reason text (span tags, ``on_decision``,
+    the audit trail).
     """
 
     NO_LISTENER = "no-listener"
@@ -135,19 +140,6 @@ _NO_LISTENER: Decision = (Verdict.ACCEPT, None,
                           DecisionReason.NO_LISTENER)
 _ROOT_SERVICE: Decision = (Verdict.ACCEPT, None, "root-owned service",
                            DecisionReason.ROOT_SERVICE)
-
-
-@dataclass
-class UBFDecisionLog:
-    """One per-packet ``decide`` decision, for tests and the monitoring
-    wrapper (bursts through ``decide_batch`` are not logged)."""
-
-    flow: str
-    initiator_uid: int | None
-    listener_uid: int | None
-    listener_egid: int | None
-    verdict: Verdict
-    reason: str
 
 
 @dataclass
@@ -185,8 +177,12 @@ class UBFDaemon:
     cache_ttl: int | None = None
     #: data-sensitivity posture label applied by repro.net.zones
     tier: str = "standard"
-    #: per-packet ``decide`` records; bursts do not append here
-    log: list[UBFDecisionLog] = field(default_factory=list)
+    #: denial sink: ``decide`` calls it as ``(packet, decision)`` for every
+    #: DROP and every degraded verdict, after the ``ubf.decide`` span has
+    #: finished (``instrument_cluster`` emits NET_DENY/DEGRADED from it).
+    #: ``decide_batch`` does not call it.  None = zero cost.
+    on_decision: Callable[[Packet, Decision], None] | None = field(
+        default=None, repr=False)
     alive: bool = True
     #: the verdict cache: key -> (verdict, tick stored), in LRU order
     #: (see _cache_get/_cache_put)
@@ -229,8 +225,8 @@ class UBFDaemon:
     def restart(self) -> None:
         """Restart after a crash: rebind, flush the cache, re-sync.
 
-        Rebinds the *same* handler that was detached, so any monitoring
-        wrapper installed around ``decide`` survives the bounce.  The
+        Rebinds the *same* handler that was detached, so a wrapper bound
+        around ``decide`` from outside survives the bounce.  The
         decision cache is dropped (identity state from before the crash is
         stale); the conntrack table is *kept* — established flows never
         noticed the outage and need no manual flush.
@@ -276,24 +272,30 @@ class UBFDaemon:
 
     def decide(self, pkt: Packet) -> Verdict:
         if self.tracer is None:
-            return self._decide(pkt)
-        span = self.tracer.start_span(
-            "ubf.decide", host=self.stack.hostname,
-            src=f"{pkt.flow.src_host}:{pkt.flow.src_port}",
-            dst=f"{pkt.flow.dst_host}:{pkt.flow.dst_port}")
-        try:
-            verdict = self._decide(pkt)
-        except Exception as exc:
-            # The span must finish even when the decision path blows up,
-            # or the tracer leaks an open span per failed decision.
-            self.tracer.finish(span, status="error",
-                               error=type(exc).__name__)
-            raise
-        self.tracer.finish(span, verdict=verdict.value,
-                           reason=self.log[-1].reason if self.log else "")
+            decision = self._decide(pkt)
+        else:
+            span = self.tracer.start_span(
+                "ubf.decide", host=self.stack.hostname,
+                src=f"{pkt.flow.src_host}:{pkt.flow.src_port}",
+                dst=f"{pkt.flow.dst_host}:{pkt.flow.dst_port}")
+            try:
+                decision = self._decide(pkt)
+            except Exception as exc:
+                # The span must finish even when the decision path blows
+                # up, or the tracer leaks an open span per failed decision.
+                self.tracer.finish(span, status="error",
+                                   error=type(exc).__name__)
+                raise
+            self.tracer.finish(span, verdict=decision[0].value,
+                               reason=decision[2])
+        verdict = decision[0]
+        if self.on_decision is not None and (
+                verdict is Verdict.DROP
+                or decision[3] is DecisionReason.DEGRADED):
+            self.on_decision(pkt, decision)
         return verdict
 
-    def _decide(self, pkt: Packet) -> Verdict:
+    def _decide(self, pkt: Packet) -> Decision:
         if self.cache_enabled:
             self._revalidate_generation()
         self._tick += 1
@@ -308,7 +310,8 @@ class UBFDaemon:
                 decision = self._degraded(exc)
             else:
                 decision = self._conclude(pkt, listener, initiator)
-        return self._log(pkt, listener, *decision)
+        self._record(pkt, decision)
+        return decision
 
     # -- decision cache (bounded LRU dict shared by decide/decide_batch) --------
 
@@ -431,8 +434,8 @@ class UBFDaemon:
         every waiter.  ``ident_coalesced`` counts the queries saved.
 
         The generation check, each distinct listener lookup and the
-        verdict counters are paid once per burst; rows are not appended
-        to :attr:`log` (see the module docstring for what a burst records).
+        verdict counters are paid once per burst; ``on_decision`` is not
+        called (see the module docstring for what a burst records).
 
         When a tracer is attached the whole burst is one ``ubf.decide_batch``
         span with a child ``ubf.ident_group`` span per coalesced exchange —
@@ -578,7 +581,8 @@ class UBFDaemon:
         Never cached — a degraded verdict reflects an infrastructure fault,
         not an identity decision, and must not outlive the fault.  The
         metric reason label is the closed ``degraded`` code; the fault
-        detail stays in the decision log only.
+        detail travels only in the decision's reason text (span tag,
+        ``on_decision``).
         """
         policy = "fail-open" if self.fail_open else "fail-closed"
         verdict = Verdict.ACCEPT if self.fail_open else Verdict.DROP
@@ -645,19 +649,10 @@ class UBFDaemon:
             self._allow_sets[egid] = members
         return members
 
-    def _log(self, pkt: Packet, listener: IdentReply | None,
-             verdict: Verdict, iu: int | None, reason: str,
-             code: DecisionReason) -> Verdict:
-        """Record one ``decide`` decision: its log entry, its counters and,
-        for a clean ACCEPT, its audit record."""
-        flow = pkt.flow
-        self.log.append(UBFDecisionLog(
-            flow=(f"{flow.proto.value} {flow.src_host}:"
-                  f"{flow.src_port}->{flow.dst_host}:{flow.dst_port}"),
-            initiator_uid=iu,
-            listener_uid=None if listener is None else listener.uid,
-            listener_egid=None if listener is None else listener.egid,
-            verdict=verdict, reason=reason))
+    def _record(self, pkt: Packet, decision: Decision) -> None:
+        """Record one ``decide`` decision: its counters and, for a clean
+        ACCEPT, its audit record."""
+        verdict, iu, reason, code = decision
         metrics = self.fabric.metrics
         if code is DecisionReason.CACHED:
             metrics.counter("ubf_cache_hits").inc()
@@ -669,7 +664,6 @@ class UBFDaemon:
             metrics.counter("ubf_denials").inc()
         elif iu is not None:
             self._audit_accept(pkt, iu, reason)
-        return verdict
 
     def _audit_accept(self, pkt: Packet, iu: int, reason: str) -> None:
         """A clean ACCEPT with a known initiator reaches the audit trail

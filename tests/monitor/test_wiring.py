@@ -10,7 +10,7 @@ from repro.monitor import (
     audited_session,
     instrument_cluster,
 )
-from repro.obs import attach_telemetry
+from repro.obs import attach_forensics, attach_telemetry
 
 
 @pytest.fixture
@@ -43,6 +43,45 @@ class TestIdempotency:
         with pytest.raises(TimedOut):
             cluster.login("bob").socket().connect(shell.node.name, 5000)
         assert len(log.by_kind(EventKind.NET_DENY)) == 1
+
+
+class TestAttachWhileDaemonCrashed:
+    """Attaching the log must not touch any enforcement decision: a daemon
+    that is down at attach time stays fail-closed, and once restarted it
+    reports its denials like any other."""
+
+    @pytest.mark.parametrize("attach", ["instrument", "forensics"])
+    def test_crashed_host_fails_closed_and_reports_after_restart(
+            self, cluster, attach):
+        job = cluster.submit("alice", duration=100.0)
+        cluster.run(until=1.0)
+        shell = cluster.job_session(job)
+        host = shell.node.name
+        shell.node.net.listen(shell.node.net.bind(shell.process, 5000))
+        daemon = cluster.ubf_daemons[host]
+        daemon.crash()
+        if attach == "instrument":
+            log, audit = instrument_cluster(cluster), None
+        else:
+            forensics = attach_forensics(cluster)
+            log, audit = forensics.events, forensics.audit
+
+        assert daemon.stack.firewall._nfqueue is None
+        with pytest.raises(TimedOut):  # even the owner: nobody decides
+            cluster.login("alice").socket().connect(host, 5000)
+
+        daemon.restart()
+        bob = cluster.login("bob")
+        with pytest.raises(TimedOut):
+            bob.socket().connect(host, 5000)
+        (e,) = log.by_kind(EventKind.NET_DENY)
+        assert e.subject_uid == bob.user.uid
+        assert e.target == f"{host}:5000"
+        if audit is not None:
+            denies = [r for r in audit.records
+                      if r.mechanism == "ubf" and r.action == "deny"]
+            assert len(denies) == 1
+            assert denies[0].uid == bob.user.uid
 
 
 class TestRoundTrips:

@@ -12,6 +12,7 @@ faults, with the same counters, audit records, spans and oracle checks.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -380,6 +381,52 @@ def allow_rows(trail) -> list:
                   if r.mechanism == "ubf" and r.action == "allow")
 
 
+class TestDecideMemory:
+    """A long ``decide`` loop holds no per-decision state: over a fixed
+    set of principal triples (so the verdict cache stays one size) the
+    daemon's memory stays flat, with its ``on_decision`` hook armed."""
+
+    #: allowed tracemalloc growth over the measured loop, in bytes; a
+    #: per-decision record of even 10 bytes would exceed it
+    GROWTH_BOUND = 128 * 1024
+    DECISIONS = 24_000
+
+    def test_memory_flat_over_long_decide_loop(self, userdb):
+        fabric, nodes, daemon = build_scenario(userdb)
+        reported = [0]
+
+        def on_decision(pkt_, decision):
+            reported[0] += 1
+
+        daemon.on_decision = on_decision
+        # stamped packets answer from the cache; unstamped ones take the
+        # full ident path every time (cross-user and unidentifiable DROPs
+        # reach the hook)
+        pkts = [stamped(userdb, sp, dp) for sp in PORT_UID
+                for dp in DST_PORTS]
+        pkts += [pkt(sp, dp) for sp in SRC_PORTS for dp in DST_PORTS]
+        for p in pkts * 4:  # warm-up: cache, allow-sets, counter series
+            daemon.decide(p)
+        cache_size = len(daemon._cache)
+        rounds = -(-self.DECISIONS // len(pkts))
+        warm_reports = reported[0]
+
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(rounds):
+                for p in pkts:
+                    daemon.decide(p)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+        assert rounds * len(pkts) >= 20_000
+        assert len(daemon._cache) == cache_size
+        assert reported[0] > warm_reports  # the hook really ran
+        assert after - before < self.GROWTH_BOUND
+
+
 class TestBatchMatchesDecide:
     """``decide_batch`` against per-packet ``decide`` over bursts of
     distinct principal triples (so a sequential decision can never hit
@@ -395,9 +442,7 @@ class TestBatchMatchesDecide:
             if mode == "decide":
                 verdicts.append([daemon.decide(p) for p in burst_pkts])
             else:
-                logged = len(daemon.log)
                 verdicts.append(daemon.decide_batch(burst_pkts))
-                assert len(daemon.log) == logged
         return (verdicts, verdict_counters(fabric), allow_rows(daemon.audit),
                 oracle.total_checks, daemon._tick)
 
@@ -432,7 +477,6 @@ class TestBatchMatchesDecide:
                    else [daemon.decide(p) for p in pkts])
             results.append((got, verdict_counters(fabric)))
         assert results[0] == results[1]
-        assert len(daemon.log) == 0  # the batch run logged nothing
 
 
 class TestBurstOracle:

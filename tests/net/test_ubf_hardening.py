@@ -59,11 +59,14 @@ class TestIdentSpoofCrossCheck:
         serve(nodes, userdb, "c2", "alice", 5000)
         spoof_as(fabric, userdb, "c1", "alice")
         bob = proc_on(nodes, "c1", userdb, "bob")
+        reported = []
+        daemons["c2"].on_decision = lambda pkt, d: reported.append(d)
         with pytest.raises(TimedOut):
             nodes["c1"].net.connect(bob, "c2", 5000)
-        entry = daemons["c2"].log[-1]
-        assert entry.verdict is Verdict.DROP
-        assert "contradicts kernel-stamped" in entry.reason
+        verdict, _, reason, code = reported[-1]
+        assert verdict is Verdict.DROP
+        assert code is DecisionReason.IDENT_MISMATCH
+        assert "contradicts kernel-stamped" in reason
         assert fabric.metrics.counter(
             "ubf_verdicts_total", verdict="drop",
             reason=DecisionReason.IDENT_MISMATCH.value).value == 1
